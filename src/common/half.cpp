@@ -1,69 +1,19 @@
 #include "common/half.hpp"
 
-#include <bit>
 #include <ostream>
+#include <vector>
 
 namespace aift {
 
-std::uint16_t f32_to_f16_bits(float f) noexcept {
-  const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
-  const std::uint32_t sign = (x >> 16) & 0x8000u;
-  const std::uint32_t exp32 = (x >> 23) & 0xFFu;
-  std::uint32_t man = x & 0x7FFFFFu;
-
-  if (exp32 == 0xFFu) {  // Inf or NaN: preserve NaN-ness with a payload bit.
-    const std::uint32_t payload = man ? (0x0200u | (man >> 13)) : 0u;
-    return static_cast<std::uint16_t>(sign | 0x7C00u | payload);
-  }
-
-  const int e = static_cast<int>(exp32) - 127 + 15;  // rebiased exponent
-  if (e >= 0x1F) {  // overflow -> infinity
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-  if (e <= 0) {  // subnormal half (or underflow to zero)
-    if (e < -10) return static_cast<std::uint16_t>(sign);
-    man |= 0x800000u;  // make the implicit leading 1 explicit
-    const int shift = 14 - e;
-    std::uint32_t sub = man >> shift;
-    const std::uint32_t rem = man & ((1u << shift) - 1u);
-    const std::uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (sub & 1u))) ++sub;
-    return static_cast<std::uint16_t>(sign | sub);
-  }
-
-  std::uint32_t out = sign | (static_cast<std::uint32_t>(e) << 10) | (man >> 13);
-  const std::uint32_t rem = man & 0x1FFFu;
-  // Round to nearest even; a carry out of the mantissa correctly increments
-  // the exponent (and can round up to infinity).
-  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) ++out;
-  return static_cast<std::uint16_t>(out);
-}
-
-float f16_bits_to_f32(std::uint16_t h) noexcept {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
-  std::uint32_t man = h & 0x03FFu;
-
-  std::uint32_t out;
-  if (exp16 == 0) {
-    if (man == 0) {
-      out = sign;  // signed zero
-    } else {
-      // Normalize the subnormal: value = man * 2^-24.
-      int e = -1;
-      do {
-        man <<= 1;
-        ++e;
-      } while ((man & 0x0400u) == 0);
-      man &= 0x03FFu;
-      out = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) | (man << 13);
+const float* f16_to_f32_table() {
+  static const std::vector<float> table = [] {
+    std::vector<float> t(0x10000);
+    for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+      t[h] = f16_bits_to_f32(static_cast<std::uint16_t>(h));
     }
-  } else if (exp16 == 0x1Fu) {
-    out = sign | 0x7F800000u | (man << 13);  // inf / NaN
-  } else {
-    out = sign | ((exp16 - 15 + 127) << 23) | (man << 13);
-  }
-  return std::bit_cast<float>(out);
+    return t;
+  }();
+  return table.data();
 }
 
 std::ostream& operator<<(std::ostream& os, half_t h) { return os << h.to_float(); }

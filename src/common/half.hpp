@@ -7,6 +7,7 @@
 // software half type: round-to-nearest-even conversions, subnormals,
 // infinities and NaNs all behave as on hardware.
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -14,10 +15,70 @@
 namespace aift {
 
 /// Converts an IEEE binary32 value to binary16 bits (round-to-nearest-even).
-std::uint16_t f32_to_f16_bits(float f) noexcept;
+/// Inline: every GEMM store and activation runs through it.
+inline std::uint16_t f32_to_f16_bits(float f) noexcept {
+  const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
+  const std::uint32_t sign = (x >> 16) & 0x8000u;
+  const std::uint32_t exp32 = (x >> 23) & 0xFFu;
+  std::uint32_t man = x & 0x7FFFFFu;
+
+  if (exp32 == 0xFFu) {  // Inf or NaN: preserve NaN-ness with a payload bit.
+    const std::uint32_t payload = man ? (0x0200u | (man >> 13)) : 0u;
+    return static_cast<std::uint16_t>(sign | 0x7C00u | payload);
+  }
+
+  const int e = static_cast<int>(exp32) - 127 + 15;  // rebiased exponent
+  if (e >= 0x1F) {  // overflow -> infinity
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+  if (e <= 0) {  // subnormal half (or underflow to zero)
+    if (e < -10) return static_cast<std::uint16_t>(sign);
+    man |= 0x800000u;  // make the implicit leading 1 explicit
+    const int shift = 14 - e;
+    std::uint32_t sub = man >> shift;
+    const std::uint32_t rem = man & ((1u << shift) - 1u);
+    const std::uint32_t halfway = 1u << (shift - 1);
+    if (rem > halfway || (rem == halfway && (sub & 1u))) ++sub;
+    return static_cast<std::uint16_t>(sign | sub);
+  }
+
+  std::uint32_t out = sign | (static_cast<std::uint32_t>(e) << 10) | (man >> 13);
+  const std::uint32_t rem = man & 0x1FFFu;
+  // Round to nearest even; a carry out of the mantissa correctly increments
+  // the exponent (and can round up to infinity).
+  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) ++out;
+  return static_cast<std::uint16_t>(out);
+}
 
 /// Converts binary16 bits to the exactly-representable binary32 value.
-float f16_bits_to_f32(std::uint16_t h) noexcept;
+///
+/// Branch-free, so loops over FP16 buffers vectorize: the magnitude is
+/// rebiased by shifting it into place and adding the exponent offset
+/// (twice for Inf/NaN, so the all-ones exponent stays all-ones and a NaN
+/// keeps its payload, signaling bit included); a subnormal or zero is
+/// built as 2^-14 * (1 + man/1024) and has 2^-14 subtracted, which is
+/// exact and leaves man * 2^-24. Only that subtraction is floating-point,
+/// and its result is discarded on the Inf/NaN path, so no NaN is ever
+/// quieted. Equal to the textbook decode on all 65536 patterns
+/// (HalfDecode.ExhaustiveMatchesReference).
+inline float f16_bits_to_f32(std::uint16_t h) noexcept {
+  constexpr std::uint32_t kRebias = (127u - 15u) << 23;
+  constexpr std::uint32_t kMinNormal = 113u << 23;  // 2^-14 as binary32
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t mag = h & 0x7FFFu;
+  std::uint32_t bits = (mag << 13) + kRebias;
+  if (mag >= 0x7C00u) bits += kRebias;  // Inf/NaN: exponent to all ones
+  const float sub = std::bit_cast<float>((mag << 13) + kMinNormal) -
+                    std::bit_cast<float>(kMinNormal);
+  if (mag < 0x0400u) bits = std::bit_cast<std::uint32_t>(sub);
+  return std::bit_cast<float>(bits | sign);
+}
+
+/// The binary32 value of every binary16 pattern, indexed by the bits:
+/// table[h] == f16_bits_to_f32(h) on all 65536 patterns, because it is
+/// filled from it (once, on first use). Bulk decode loops read it — one
+/// load per element — where the branch-free decode does not vectorize.
+[[nodiscard]] const float* f16_to_f32_table();
 
 /// IEEE 754 binary16 value. Storage is the raw 16-bit pattern; arithmetic
 /// is performed by converting through float (which is exact for +,-,*

@@ -3,13 +3,20 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <new>
 
 namespace aift {
 namespace {
 
+constexpr std::align_val_t kAlignment{64};
+
+struct AlignedDelete {
+  void operator()(void* p) const { ::operator delete(p, kAlignment); }
+};
+
 struct Buffer {
-  std::unique_ptr<float[]> data;
-  std::size_t capacity = 0;
+  std::unique_ptr<void, AlignedDelete> data;
+  std::size_t capacity = 0;  ///< bytes
 };
 
 std::atomic<std::int64_t> g_hits{0};
@@ -19,15 +26,16 @@ thread_local std::array<Buffer, kNumScratchSlots> t_buffers;
 
 }  // namespace
 
-float* scratch_floats(ScratchSlot slot, std::size_t count) {
+void* scratch_bytes(ScratchSlot slot, std::size_t bytes) {
   Buffer& buf = t_buffers[static_cast<std::size_t>(slot)];
-  if (buf.capacity >= count) {
+  if (buf.capacity >= bytes) {
     g_hits.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // new[] rather than make_unique: the contents are overwritten by the
-    // caller, so value-initializing the whole buffer would be pure waste.
-    buf.data.reset(new float[count]);
-    buf.capacity = count;
+    // Raw aligned storage, never value-initialized: the caller overwrites
+    // what it uses. Storage from operator new implicitly creates the
+    // trivial arrays scratch_array hands out.
+    buf.data.reset(::operator new(bytes, kAlignment));
+    buf.capacity = bytes;
     g_misses.fetch_add(1, std::memory_order_relaxed);
   }
   return buf.data.get();

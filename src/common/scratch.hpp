@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace aift {
 
@@ -40,9 +41,13 @@ namespace aift {
 enum class ScratchSlot : int {
   gemm_accumulator = 0,  ///< per-block FP32 accumulator (any pool worker)
   gemm_staged_a = 1,     ///< per-call padded FP32 staging of operand A
+  check_sums = 2,     ///< per-check lane-column sums S of an unprepared b
+  check_verdicts = 3,  ///< per-check residual/threshold/flag per lane row
+  check_lhs = 4,      ///< per-panel decoded A rows (any pool worker)
+  check_product = 5,  ///< per-panel A·S product (any pool worker)
 };
 
-inline constexpr std::size_t kNumScratchSlots = 2;
+inline constexpr std::size_t kNumScratchSlots = 6;
 
 /// Process-wide scratch counters, aggregated across every thread.
 struct ScratchStats {
@@ -53,9 +58,22 @@ struct ScratchStats {
 };
 
 /// Returns the calling thread's buffer for `slot`, grown (never shrunk)
-/// to hold at least `count` floats. Contents are unspecified. The pointer
-/// stays valid until the same thread requests the same slot again.
-[[nodiscard]] float* scratch_floats(ScratchSlot slot, std::size_t count);
+/// to hold at least `bytes` bytes, 64-byte aligned. Contents are
+/// unspecified. The pointer stays valid until the same thread requests
+/// the same slot again.
+[[nodiscard]] void* scratch_bytes(ScratchSlot slot, std::size_t bytes);
+
+/// scratch_bytes typed as an array of `count` trivial T.
+template <typename T>
+[[nodiscard]] T* scratch_array(ScratchSlot slot, std::size_t count) {
+  static_assert(std::is_trivial_v<T>);
+  return static_cast<T*>(scratch_bytes(slot, count * sizeof(T)));
+}
+
+[[nodiscard]] inline float* scratch_floats(ScratchSlot slot,
+                                           std::size_t count) {
+  return scratch_array<float>(slot, count);
+}
 
 [[nodiscard]] ScratchStats scratch_stats();
 void reset_scratch_stats();

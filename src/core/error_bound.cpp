@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/half.hpp"
-
 namespace aift {
-
-double detection_threshold(double abs_magnitude_sum, const ErrorBoundParams& p) {
-  const double u16 = half_t::unit_roundoff();  // 2^-11
-  return std::max(p.absolute_floor,
-                  p.safety_factor * u16 * abs_magnitude_sum);
-}
 
 double detection_threshold_f32(double abs_magnitude_sum,
                                std::int64_t reduction_len,

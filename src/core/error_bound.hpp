@@ -12,7 +12,10 @@
 // rounding and are inherently undetectable by any checksum scheme at this
 // precision (the paper's detection claims carry the same caveat).
 
+#include <algorithm>
 #include <cstdint>
+
+#include "common/half.hpp"
 
 namespace aift {
 
@@ -22,9 +25,13 @@ struct ErrorBoundParams {
 };
 
 /// Threshold for a check over outputs whose absolute magnitudes sum to
-/// `abs_magnitude_sum`, with outputs stored in FP16.
-[[nodiscard]] double detection_threshold(double abs_magnitude_sum,
-                                         const ErrorBoundParams& p = {});
+/// `abs_magnitude_sum`, with outputs stored in FP16. Inline: the
+/// thread-level check evaluates it once per lane row.
+[[nodiscard]] inline double detection_threshold(double abs_magnitude_sum,
+                                                const ErrorBoundParams& p = {}) {
+  const double u16 = half_t::unit_roundoff();  // 2^-11
+  return std::max(p.absolute_floor, p.safety_factor * u16 * abs_magnitude_sum);
+}
 
 /// Threshold when outputs are kept in FP32 (no FP16 store): accumulation
 /// noise only, scaled by the reduction length.

@@ -3,16 +3,13 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/mutex.hpp"
 #include "common/parallel.hpp"
 
 namespace aift {
 
 ThreadReplication::ThreadReplication(TileConfig tile, ReplicationKind kind,
                                      ErrorBoundParams bound)
-    : tile_(tile), kind_(kind), bound_(bound) {
-  AIFT_CHECK_MSG(tile_.valid(), "invalid tile " << tile_.name());
-}
+    : tile_(tile), kind_(kind), bound_(bound), lanes_(tile_) {}
 
 ThreadLevelResult ThreadReplication::check(const Matrix<half_t>& a,
                                            const Matrix<half_t>& b,
@@ -26,13 +23,16 @@ ThreadLevelResult ThreadReplication::check(const Matrix<half_t>& a,
   const int warps_m = tile_.mb / tile_.mw;
   const int warps_n = tile_.nb / tile_.nw;
 
-  ThreadLevelResult result;
-  Mutex result_mu;  // serializes worker-local result merges
+  // Per-block slots, merged in grid order below: the failure order is the
+  // same at any worker count.
+  std::vector<std::vector<ThreadCheckFailure>> block_failures(
+      static_cast<std::size_t>(bm * bn));
+  std::vector<std::int64_t> block_threads(static_cast<std::size_t>(bm * bn));
 
   parallel_for(0, bm * bn, [&](std::int64_t block) {
     const std::int64_t bi = block / bn;
     const std::int64_t bj = block % bn;
-    std::vector<ThreadCheckFailure> local_failures;
+    auto& local_failures = block_failures[static_cast<std::size_t>(block)];
     std::int64_t local_threads = 0;
 
     for (int wm = 0; wm < warps_m; ++wm) {
@@ -42,20 +42,21 @@ ThreadLevelResult ThreadReplication::check(const Matrix<half_t>& a,
         if (wr0 >= m || wc0 >= n) continue;
 
         for (int lane = 0; lane < 32; ++lane) {
-          std::vector<std::int64_t> rows, cols;
-          for (int r : tile_.lane_rows(lane)) {
-            if (wr0 + r < m) rows.push_back(wr0 + r);
-          }
-          for (int col : tile_.lane_cols(lane)) {
-            if (wc0 + col < n) cols.push_back(wc0 + col);
-          }
+          // The thread's owned rows/columns, clipped to the problem: a
+          // prefix of each ascending list.
+          const auto rows = lanes_.rows(lane).first(
+              static_cast<std::size_t>(lanes_.rows_below(lane, m - wr0)));
+          const auto cols = lanes_.cols(lane).first(
+              static_cast<std::size_t>(lanes_.cols_below(lane, n - wc0)));
           if (rows.empty() || cols.empty()) continue;
           ++local_threads;
 
           if (kind_ == ReplicationKind::traditional) {
             // Element-wise duplicate-and-compare.
-            for (const auto row : rows) {
-              for (const auto col : cols) {
+            for (const int r : rows) {
+              const std::int64_t row = wr0 + r;
+              for (const int cc : cols) {
+                const std::int64_t col = wc0 + cc;
                 double redo = 0.0;
                 for (std::int64_t kk = 0; kk < k; ++kk) {
                   redo += a(row, kk).to_float() * b(kk, col).to_float();
@@ -78,18 +79,18 @@ ThreadLevelResult ThreadReplication::check(const Matrix<half_t>& a,
             double redo_sum = 0.0;
             for (std::int64_t kk = 0; kk < k; ++kk) {
               double a_dot_b = 0.0;
-              for (const auto row : rows) {
-                const double av = a(row, kk).to_float();
-                for (const auto col : cols) {
-                  a_dot_b += av * b(kk, col).to_float();
+              for (const int r : rows) {
+                const double av = a(wr0 + r, kk).to_float();
+                for (const int cc : cols) {
+                  a_dot_b += av * b(kk, wc0 + cc).to_float();
                 }
               }
               redo_sum += a_dot_b;
             }
             double out_sum = 0.0, out_abs = 0.0;
-            for (const auto row : rows) {
-              for (const auto col : cols) {
-                const double v = c(row, col).to_float();
+            for (const int r : rows) {
+              for (const int cc : cols) {
+                const double v = c(wr0 + r, wc0 + cc).to_float();
                 out_sum += v;
                 out_abs += std::abs(v);
               }
@@ -106,11 +107,14 @@ ThreadLevelResult ThreadReplication::check(const Matrix<half_t>& a,
       }
     }
 
-    MutexLock lk(result_mu);
-    result.threads_checked += local_threads;
-    for (auto& f : local_failures) result.failures.push_back(f);
+    block_threads[static_cast<std::size_t>(block)] = local_threads;
   });
 
+  ThreadLevelResult result;
+  for (std::size_t block = 0; block < block_failures.size(); ++block) {
+    result.threads_checked += block_threads[block];
+    for (const auto& f : block_failures[block]) result.failures.push_back(f);
+  }
   result.fault_detected = !result.failures.empty();
   return result;
 }

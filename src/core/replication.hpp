@@ -39,6 +39,7 @@ class ThreadReplication {
   TileConfig tile_;
   ReplicationKind kind_;
   ErrorBoundParams bound_;
+  LaneMap lanes_;
 };
 
 }  // namespace aift

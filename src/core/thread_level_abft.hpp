@@ -17,6 +17,15 @@
 // check() replays that arithmetic against a possibly-faulty C and reports
 // every failing thread with its location — the fault is localized to a
 // specific (block, warp, lane, row), unlike global ABFT's single bit.
+//
+// On the host the replay is one skinny product (core/skinny_product).
+// Only lane % 4 picks a lane's columns, so a warp column has just four
+// distinct checksum vectors s[k]; gathered over every warp column they
+// form S, a K x (4 * warp columns) table, and the one-sided redundant
+// values of every (row, lane) are the entries of A · S. Two-sided, the
+// rows of A collapse first into one checksum row per lane group. Each
+// entry keeps the scalar chain — ascending k, multiply then add, in
+// double — so the prepared and online checks agree to the bit.
 
 #include <cstdint>
 #include <vector>
@@ -56,15 +65,14 @@ class ThreadLevelAbft {
                                         const Matrix<half_t>& b,
                                         const Matrix<half_t>& c) const;
 
-  /// Precomputes every lane's Bt row checksum for the immutable operand
-  /// `b` — the per-lane s[k] vectors are pure functions of (b, tile), so a
-  /// session checking the same weights every request builds them once at
-  /// construction instead of once per check. Each table entry is summed in
-  /// exactly the order check() sums it online, so a prepared check is
-  /// bit-identical to an unprepared one. After prepare(b), check() must
-  /// only be given that same `b` (it matches on dimensions alone, like a
-  /// PackedOperand, and the session's per-layer checker only ever sees its
-  /// own layer's weights).
+  /// Precomputes the lane-column checksum table S for the immutable
+  /// operand `b` — S is a pure function of (b, tile), so a session checking
+  /// the same weights every request builds it once at construction instead
+  /// of once per check. Each entry is summed in exactly the order check()
+  /// sums it online, so a prepared check is bit-identical to an unprepared
+  /// one. After prepare(b), check() must only be given that same `b` (it
+  /// matches on dimensions alone, like a PackedOperand, and the session's
+  /// per-layer checker only ever sees its own layer's weights).
   void prepare(const Matrix<half_t>& b);
 
   /// Whether prepare() has been called (the table serves any b with the
@@ -78,11 +86,12 @@ class ThreadLevelAbft {
   TileConfig tile_;
   ThreadAbftSide side_;
   ErrorBoundParams bound_;
-  /// Per-(block column, warp column, lane) Bt row checksums, indexed
-  /// (bj * warps_n + wn) * 32 + lane; empty where the lane owns no
-  /// in-range column. The sums do not depend on the block row or warp row,
-  /// so the table covers the whole grid.
-  std::vector<std::vector<double>> prepared_checksums_;
+  LaneMap lanes_;
+  /// S, row-major K x (4 * warp columns): entry (k, w * 4 + tig) sums
+  /// B(k, c) over the columns c that lanes with lane % 4 == tig own in warp
+  /// column w, clipped to the problem (0 where none is in range). It does
+  /// not depend on the block row or warp row, so it covers the whole grid.
+  std::vector<double> prepared_sums_;
   std::int64_t prepared_k_ = -1;
   std::int64_t prepared_n_ = -1;
 };

@@ -301,6 +301,9 @@ void run_blocks(const Matrix<half_t>& a, const Matrix<half_t>& b,
 
   const float* af =
       stage_f32_padded(ScratchSlot::gemm_staged_a, a, bm * tile.mb, kpad);
+  // The per-call conversion of B is this path's purpose: it is the
+  // unpacked baseline packed_speedup_b16 measures against.
+  // aift-lint: allow(hot-path-alloc)
   std::vector<float> bf(static_cast<std::size_t>(kpad * npad), 0.0f);
   for (std::int64_t r = 0; r < b.rows(); ++r) {
     float* row = bf.data() + r * npad;

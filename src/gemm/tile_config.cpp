@@ -1,5 +1,6 @@
 #include "gemm/tile_config.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -77,6 +78,55 @@ int TileConfig::owner_lane(int row_in_warp, int col_in_warp) const {
   const int group = (row_in_warp % MmaShape::kM) % 8;
   const int tig = (col_in_warp % MmaShape::kN) / 2;
   return group * 4 + tig;
+}
+
+LaneMap::LaneMap(const TileConfig& tile) : mt(tile.mt()), nt(tile.nt()) {
+  AIFT_CHECK_MSG(tile.valid(), "invalid tile " << tile.name());
+  group_rows.reserve(static_cast<std::size_t>(8 * mt));
+  tig_cols.reserve(static_cast<std::size_t>(4 * nt));
+  for (int group = 0; group < 8; ++group) {
+    for (int r : tile.lane_rows(group * 4)) group_rows.push_back(r);
+  }
+  col_tig.assign(static_cast<std::size_t>(tile.nw), -1);
+  for (int tig = 0; tig < 4; ++tig) {
+    for (int c : tile.lane_cols(tig)) {
+      tig_cols.push_back(c);
+      AIFT_CHECK(col_tig[static_cast<std::size_t>(c)] == -1);
+      col_tig[static_cast<std::size_t>(c)] = tig;
+    }
+  }
+  for (int lane = 0; lane < 32; ++lane) {
+    const auto r = rows(lane);
+    const auto c = cols(lane);
+    AIFT_CHECK(tile.lane_rows(lane) == std::vector<int>(r.begin(), r.end()));
+    AIFT_CHECK(tile.lane_cols(lane) == std::vector<int>(c.begin(), c.end()));
+    AIFT_CHECK(std::is_sorted(r.begin(), r.end()));
+    AIFT_CHECK(std::is_sorted(c.begin(), c.end()));
+  }
+}
+
+namespace {
+int prefix_below(std::span<const int> offsets, std::int64_t limit) {
+  return static_cast<int>(
+      std::lower_bound(offsets.begin(), offsets.end(), limit) -
+      offsets.begin());
+}
+}  // namespace
+
+int LaneMap::rows_below(int lane, std::int64_t limit) const {
+  return prefix_below(rows(lane), limit);
+}
+
+int LaneMap::cols_below(int lane, std::int64_t limit) const {
+  return prefix_below(cols(lane), limit);
+}
+
+int LaneMap::lanes_owning(std::int64_t row_limit,
+                          std::int64_t col_limit) const {
+  int groups = 0, tigs = 0;
+  for (int group = 0; group < 8; ++group) groups += rows_below(group * 4, row_limit) > 0;
+  for (int tig = 0; tig < 4; ++tig) tigs += cols_below(tig, col_limit) > 0;
+  return groups * tigs;
 }
 
 std::string TileConfig::name() const {

@@ -8,6 +8,8 @@
 // lane therefore owns Mt = Mw/8 rows and Nt = Nw/4 columns — the "thread
 // tile" over which thread-level ABFT operates (paper §5.1).
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +74,42 @@ struct TileConfig {
   [[nodiscard]] std::string name() const;
 
   friend bool operator==(const TileConfig&, const TileConfig&) = default;
+};
+
+/// Every lane's owned warp-tile rows and columns, read once from
+/// TileConfig::lane_rows()/lane_cols() so per-check code indexes flat
+/// arrays instead of rebuilding two vectors per lane per warp. Rows depend
+/// only on the PTX group (lane / 4) and columns only on the thread-in-group
+/// (lane % 4); both lists ascend, so clipping a lane to the problem edge
+/// keeps a prefix of them.
+struct LaneMap {
+  /// Throws (AIFT_CHECK) on an invalid tile.
+  explicit LaneMap(const TileConfig& tile);
+
+  int mt = 0;  ///< rows per lane
+  int nt = 0;  ///< columns per lane
+  std::vector<int> group_rows;  ///< [group * mt + i], group = lane / 4
+  std::vector<int> tig_cols;    ///< [tig * nt + j], tig = lane % 4
+  /// [warp-tile column] = the tig whose lanes own it. Each column has one
+  /// owner, so walking a row's columns in order visits every tig's owned
+  /// columns in its ascending order.
+  std::vector<int> col_tig;
+
+  [[nodiscard]] std::span<const int> rows(int lane) const {
+    return {group_rows.data() + (lane / 4) * mt, static_cast<std::size_t>(mt)};
+  }
+  [[nodiscard]] std::span<const int> cols(int lane) const {
+    return {tig_cols.data() + (lane % 4) * nt, static_cast<std::size_t>(nt)};
+  }
+  /// How many of `lane`'s rows (columns) lie below `limit`, the problem
+  /// extent left past the warp's origin: the clipped prefix length.
+  [[nodiscard]] int rows_below(int lane, std::int64_t limit) const;
+  [[nodiscard]] int cols_below(int lane, std::int64_t limit) const;
+  /// Lanes owning at least one element below (row_limit, col_limit): a
+  /// lane is a (group, tig) pair, so this is (groups with a row in range)
+  /// x (tigs with a column in range).
+  [[nodiscard]] int lanes_owning(std::int64_t row_limit,
+                                 std::int64_t col_limit) const;
 };
 
 /// The candidate configurations enumerated by the pre-deployment profiler

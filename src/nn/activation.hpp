@@ -49,6 +49,8 @@ void apply_activation(Matrix<half_t>& m, Activation a);
 /// bit-identical output to apply_activation + repack_activations — each
 /// output element is half(activate_value(prev(...))) either way — while
 /// leaving `prev` available for deferred verification and output digests.
+/// Each source element that is read is activated once; wrapped columns and
+/// rows are copies of it. A large matrix splits its rows over the pool.
 [[nodiscard]] Matrix<half_t> activate_and_repack(const Matrix<half_t>& prev,
                                                  Activation a,
                                                  std::int64_t rows,
@@ -58,8 +60,9 @@ void apply_activation(Matrix<half_t>& m, Activation a);
 /// r's band of prev_stacked (prev_stacked.rows()/requests rows) is
 /// activated and repacked independently — index wrapping never crosses a
 /// request boundary — into rows of the returned (requests*rows x cols)
-/// stacked matrix. Requests fan out over the worker pool; bit-identical to
-/// per-request activate_and_repack at any worker count.
+/// stacked matrix. Requests (and the rows of large ones) fan out over the
+/// worker pool; bit-identical to per-request activate_and_repack at any
+/// worker count.
 [[nodiscard]] Matrix<half_t> activate_and_repack_stacked(
     const Matrix<half_t>& prev_stacked, std::int64_t requests, Activation a,
     std::int64_t rows, std::int64_t cols, bool parallel = true);

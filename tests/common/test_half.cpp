@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace aift {
 namespace {
@@ -143,6 +145,65 @@ TEST(Half, SignBitQueries) {
   EXPECT_TRUE(half_t(-0.0f).signbit());
   EXPECT_TRUE(half_t(0.0f).is_zero());
   EXPECT_TRUE(half_t(-0.0f).is_zero());
+}
+
+// The binary16 -> binary32 decode as first written (normalizing loop for
+// subnormals), kept here as the reference the inline branch-free decode
+// must reproduce bit for bit.
+std::uint32_t reference_f16_decode_bits(std::uint16_t h) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
+  std::uint32_t man = h & 0x03FFu;
+  if (exp16 == 0) {
+    if (man == 0) return sign;
+    int e = -1;
+    do {
+      man <<= 1;
+      ++e;
+    } while ((man & 0x0400u) == 0);
+    man &= 0x03FFu;
+    return sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
+           (man << 13);
+  }
+  if (exp16 == 0x1Fu) return sign | 0x7F800000u | (man << 13);
+  return sign | ((exp16 - 15 + 127) << 23) | (man << 13);
+}
+
+TEST(HalfDecode, ExhaustiveMatchesReference) {
+  // Every pattern, signaling NaN payloads included: the decode moves bits
+  // and never runs a NaN through floating-point arithmetic.
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    const auto bits = static_cast<std::uint16_t>(h);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(f16_bits_to_f32(bits)),
+              reference_f16_decode_bits(bits))
+        << "pattern 0x" << std::hex << h;
+  }
+}
+
+TEST(HalfDecode, TableMatchesReference) {
+  // The table the thread-level check and the activation flow decode with.
+  const float* table = f16_to_f32_table();
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(table[h]),
+              reference_f16_decode_bits(static_cast<std::uint16_t>(h)))
+        << "pattern 0x" << std::hex << h;
+  }
+}
+
+TEST(HalfDecode, BulkLoopMatchesReference) {
+  // The same decode as the check and activation kernels run it: a loop over
+  // a buffer, which the compiler is free to vectorize.
+  std::vector<half_t> in(0x10000);
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    in[h] = half_t::from_bits(static_cast<std::uint16_t>(h));
+  }
+  std::vector<float> out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i].to_float();
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(out[h]),
+              reference_f16_decode_bits(static_cast<std::uint16_t>(h)))
+        << "pattern 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

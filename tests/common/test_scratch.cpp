@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/thread_level_abft.hpp"
 #include "gemm/functional.hpp"
 #include "nn/model.hpp"
 #include "runtime/executor.hpp"
@@ -108,6 +109,35 @@ TEST(ScratchTest, SteadyStateServingRoundAllocatesNothing) {
     const ScratchStats stats = scratch_stats();
     EXPECT_EQ(stats.misses, 0) << (defer ? "deferred" : "synchronous");
     EXPECT_GT(stats.hits, 0) << (defer ? "deferred" : "synchronous");
+  }
+}
+
+TEST(ScratchTest, SteadyStatePreparedThreadCheckAllocatesNothing) {
+  // The thread-level check decodes A and holds its products and verdicts
+  // in scratch slots: after one warm-up, a prepared check of a
+  // serving-sized layer requests only warm buffers. Eight rows are one
+  // panel, so the whole check runs on the calling thread and "warm" is
+  // well defined (as in the serial serving round above).
+  const TileConfig tile{16, 64, 32, 16, 16, 2};
+  const GemmShape shape{8, 512, 256};
+  Rng rng(9);
+  Matrix<half_t> a(shape.m, shape.k), b(shape.k, shape.n);
+  rng.fill_uniform(a);
+  rng.fill_uniform(b);
+  Matrix<half_t> c(shape.m, shape.n);
+  functional_gemm(a, b, c, tile);
+  for (const auto side :
+       {ThreadAbftSide::one_sided, ThreadAbftSide::two_sided}) {
+    ThreadLevelAbft abft(tile, side);
+    abft.prepare(b);
+    (void)abft.check(a, b, c);  // warm-up, may allocate
+    reset_scratch_stats();
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_FALSE(abft.check(a, b, c).fault_detected);
+    }
+    const ScratchStats stats = scratch_stats();
+    EXPECT_EQ(stats.misses, 0);
+    EXPECT_GT(stats.hits, 0);
   }
 }
 

@@ -116,8 +116,9 @@ TEST_P(ThreadAbftParam, PreparedCheckIsBitIdentical) {
 
     auto lhs = online.check(env.a, env.b, env.c);
     auto rhs = prepared.check(env.a, env.b, env.c);
-    // Blocks append their failures in pool-completion order; sort both
-    // sides into grid order so the comparison is order-insensitive.
+    // Both sides report failures in grid order already; sorting keeps the
+    // comparison about values, not order (test_thread_check_oracle pins
+    // the order).
     const auto grid_order = [](const ThreadCheckFailure& x,
                                const ThreadCheckFailure& y) {
       return std::tie(x.block_row, x.block_col, x.warp_m, x.warp_n, x.lane,

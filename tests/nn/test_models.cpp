@@ -55,6 +55,10 @@ struct CnnCase {
   std::size_t layer_count;
 };
 
+// Without this, GoogleTest prints the case as raw bytes, which include the
+// name and builder pointers, so the listed test names change from run to run.
+void PrintTo(const CnnCase& c, std::ostream* os) { *os << c.name; }
+
 class CnnIntensity : public ::testing::TestWithParam<CnnCase> {};
 
 INSTANTIATE_TEST_SUITE_P(

@@ -76,6 +76,18 @@ CASES = [
      "src/gemm/fixture_blocks.cpp", 0, False),
     ("hot-path-alloc", "hot_path_alloc_trigger.cpp",
      "src/runtime/fixture_blocks.cpp", 0, False),
+    # ThreadLevelAbft::check is the core/ hot body, found inside the
+    # namespaces it is defined in; run_blocks* is hot only in gemm/.
+    ("hot-path-alloc", "hot_path_alloc_check_trigger.cpp",
+     "src/core/fixture_check.cpp", 1, True),
+    ("hot-path-alloc", "hot_path_alloc_check_clean.cpp",
+     "src/core/fixture_check.cpp", 0, False),
+    ("hot-path-alloc", "hot_path_alloc_check_allow.cpp",
+     "src/core/fixture_check.cpp", 0, False),
+    ("hot-path-alloc", "hot_path_alloc_check_trigger.cpp",
+     "src/runtime/fixture_check.cpp", 0, False),
+    ("hot-path-alloc", "hot_path_alloc_trigger.cpp",
+     "src/core/fixture_blocks.cpp", 0, False),
 
     ("ordered-iteration", "ordered_iteration_trigger.cpp",
      "src/runtime/report.cpp", 1, True),

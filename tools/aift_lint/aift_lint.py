@@ -32,11 +32,14 @@ for a determinism suite or a hostile-locale test to catch the symptom:
                       checksum math and the stacked-GEMM invariant both
                       rest on that.
 
-  hot-path-alloc      Raw new/malloc/calloc/realloc inside the
-                      run_blocks* GEMM hot path. Steady-state serving
-                      performs zero scratch allocations (pinned by
-                      ScratchTest); per-block buffers come from
-                      common/scratch arenas.
+  hot-path-alloc      Allocation inside a hot body: the run_blocks* GEMM
+                      bodies in gemm/ and ThreadLevelAbft::check in
+                      core/. Flags raw new/malloc/calloc/realloc, sized
+                      container construction (std::vector<T> v(n)),
+                      resize/reserve/assign and make_unique/make_shared.
+                      Steady-state serving performs zero scratch
+                      allocations (pinned by ScratchTest); per-block and
+                      per-panel buffers come from common/scratch arenas.
 
   ordered-iteration   Iterating an unordered_map/unordered_set inside
                       serialization, table, or stats-merge code
@@ -252,7 +255,19 @@ FP_REDUCTION_PATTERNS = [
 ALLOC_RE = re.compile(
     r"(?<![\w.>])new\b(?!\s*\()|\bnew\s*\[|(?<![\w.>])(?:malloc|calloc"
     r"|realloc|aligned_alloc|posix_memalign)\s*\(")
-HOT_FN_RE = re.compile(r"\brun_blocks\w*\s*\(")
+# hot-path-alloc: (path prefix, definition pattern) of the hot bodies.
+HOT_FNS = (
+    ("src/gemm/", re.compile(r"\brun_blocks\w*\s*\("), "run_blocks*"),
+    ("src/core/", re.compile(r"\bThreadLevelAbft\s*::\s*check\s*\("),
+     "ThreadLevelAbft::check"),
+)
+NAMESPACE_OPEN_RE = re.compile(
+    r"(?:\bnamespace(?:\s+[\w:]+)?|\bextern\s+\"C\")\s*$")
+CONTAINER_ALLOC_RE = re.compile(
+    r"\bstd\s*::\s*(?:vector|string|deque|list|map|set|unordered_\w+)\s*"
+    r"<[^;]*>\s+\w+\s*[({]\s*[^\s)}]"
+    r"|\.\s*(?:resize|reserve|assign)\s*\("
+    r"|\bmake_(?:unique|shared)\s*<")
 
 # ordered-iteration: files whose outputs are byte-stability contracts.
 ORDERED_ITER_SCOPE = (
@@ -349,33 +364,43 @@ def check_fp_reduction(rel, masked_lines, out):
 
 
 def check_hot_path_alloc(rel, masked_lines, out):
-    if not under(rel, "src/gemm/"):
+    scopes = [(pat, name) for prefix, pat, name in HOT_FNS if under(rel, prefix)]
+    if not scopes:
         return
-    # Track brace depth through each run_blocks* definition's body.
+    # Track function-body brace depth through each hot definition's body.
     depth = 0
-    in_hot = False
+    braces = []  # per open brace: whether it opened a namespace
+    hot_name = None
     hot_name_line = 0
     for ln, code in enumerate(masked_lines, start=1):
-        if not in_hot and HOT_FN_RE.search(code) and depth == 0:
-            # A definition opens a brace at depth 0 on this or a nearby
-            # line; a call site inside another function sits at depth > 0.
-            in_hot = True
-            hot_name_line = ln
-        if in_hot and ALLOC_RE.search(code) and depth > 0:
+        if hot_name is None and depth == 0:
+            for pat, name in scopes:
+                # A definition opens a brace at depth 0 on this or a nearby
+                # line; a call site inside another function sits at depth > 0.
+                if pat.search(code):
+                    hot_name, hot_name_line = name, ln
+                    break
+        if hot_name is not None and depth > 0 and (
+                ALLOC_RE.search(code) or CONTAINER_ALLOC_RE.search(code)):
             out.append(Finding(
                 rel, ln, "hot-path-alloc",
-                "raw allocation inside the run_blocks* hot path (entered at "
+                f"allocation inside the {hot_name} hot path (entered at "
                 f"line {hot_name_line}); use common/scratch arenas — "
                 "steady-state serving rounds must not allocate"))
-        for ch in code:
+        for pos, ch in enumerate(code):
             if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0 and in_hot:
-                    in_hot = False
-        if in_hot and depth == 0 and ";" in code:
-            in_hot = False  # declaration (or call statement), not a body
+                # Namespace bodies do not count: a definition inside
+                # `namespace aift {` still sits at function depth 0.
+                is_ns = bool(NAMESPACE_OPEN_RE.search(code[:pos]))
+                braces.append(is_ns)
+                depth += 0 if is_ns else 1
+            elif ch == "}" and braces:
+                if not braces.pop():
+                    depth -= 1
+                    if depth == 0 and hot_name is not None:
+                        hot_name = None
+        if hot_name is not None and depth == 0 and ";" in code:
+            hot_name = None  # declaration (or call statement), not a body
 
 
 def check_ordered_iteration(rel, masked, masked_lines, out):
