@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/simd.hpp"
+
 namespace aift {
 namespace {
 
@@ -12,19 +14,6 @@ namespace {
 typedef double Vec2 __attribute__((vector_size(16)));
 typedef double Vec4 __attribute__((vector_size(32)));
 typedef double Vec8 __attribute__((vector_size(64)));
-
-// Leaves x unchanged but opaque to the optimizer, so a product passed
-// through it stays rounded on its own. GCC contracts a multiply and a
-// later add into an FMA whenever the target has one — AVX-512F does —
-// even in C++ under -std=c++20 and even across statements; an empty asm
-// that claims to rewrite the register is a fence it cannot fuse across.
-template <typename T>
-[[gnu::always_inline]] inline void round_alone(T& x) {
-#if defined(__x86_64__) || defined(__i386__)
-  asm("" : "+v"(x));
-#endif
-  (void)x;
-}
 
 /// Doubles of S per k block (256 KiB): a block stays in L2 while every
 /// column group and row tile of the call sweeps it.
@@ -120,9 +109,7 @@ void product_generic(const SkinnyProductArgs& p) {
   scalar_columns(p, j);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-#define AIFT_HAVE_X86_VARIANTS 1
-
+#ifdef AIFT_HAVE_X86_VARIANTS
 __attribute__((target("avx2"))) void product_avx2(const SkinnyProductArgs& p) {
   std::int64_t j = stage<Vec4, 4, 2>(p, 0);
   j = stage<Vec4, 8, 1>(p, j);
@@ -141,16 +128,13 @@ __attribute__((target("avx512f"))) void product_avx512(
 }  // namespace
 
 std::vector<SkinnyProductVariant> skinny_product_variants() {
-  std::vector<SkinnyProductVariant> out;
 #ifdef AIFT_HAVE_X86_VARIANTS
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) out.push_back({"avx512f", &product_avx512});
-  if (__builtin_cpu_supports("avx2")) out.push_back({"avx2", &product_avx2});
-  out.push_back({"sse2", &product_generic});
+  return runnable_variants<SkinnyProductFn>(&product_avx512, &product_avx2,
+                                            &product_generic);
 #else
-  out.push_back({"generic", &product_generic});
+  return runnable_variants<SkinnyProductFn>(nullptr, nullptr,
+                                            &product_generic);
 #endif
-  return out;
 }
 
 void skinny_product(const SkinnyProductArgs& args) {

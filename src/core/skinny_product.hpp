@@ -11,12 +11,13 @@
 // variants run 2, 4 or 8 such chains per register side by side, one per
 // output column, so every variant is bit-identical to the scalar form.
 //
-// The variants are built with function target attributes (never with
-// -march or per-file flags, so any build of src/*.cpp carries them) and
-// picked once at run time from the CPU's features.
+// The variants are built with function target attributes and picked once
+// at run time from the CPU's features (common/simd.hpp).
 
 #include <cstdint>
 #include <vector>
+
+#include "common/simd.hpp"
 
 namespace aift {
 
@@ -35,10 +36,7 @@ struct SkinnyProductArgs {
 
 using SkinnyProductFn = void (*)(const SkinnyProductArgs&);
 
-struct SkinnyProductVariant {
-  const char* isa;  ///< "avx512f", "avx2", "sse2" or "generic"
-  SkinnyProductFn fn;
-};
+using SkinnyProductVariant = IsaVariant<SkinnyProductFn>;
 
 /// Runs the fastest variant this CPU supports, over cache-sized blocks of
 /// k (same chains, same order).

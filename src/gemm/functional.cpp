@@ -6,13 +6,10 @@
 #include <cstring>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/scratch.hpp"
+#include "gemm/gemm_kernel.hpp"
 #include "gemm/mma.hpp"
 
 namespace aift {
@@ -20,16 +17,21 @@ namespace {
 
 // Stages the padded FP32 conversion of `m` into the calling thread's
 // scratch slot (rows x cols, row-major, zero padding materialized to the
-// tile grid). The buffer is read by the whole parallel region; only the
-// calling thread writes it, and only before the region starts.
+// tile grid). Each element is written once: real elements decode through
+// the exact table, only the padding is zeroed. The buffer is read by the
+// whole parallel region; only the calling thread writes it, and only
+// before the region starts.
 float* stage_f32_padded(ScratchSlot slot, const Matrix<half_t>& m,
                         std::int64_t rows, std::int64_t cols) {
   float* out = scratch_floats(slot, static_cast<std::size_t>(rows * cols));
-  std::fill(out, out + rows * cols, 0.0f);
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
+  const float* f16 = f16_to_f32_table();
+  const half_t* in = m.data();
+  for (std::int64_t r = 0; r < m.rows(); ++r, in += m.cols()) {
     float* row = out + r * cols;
-    for (std::int64_t c = 0; c < m.cols(); ++c) row[c] = m(r, c).to_float();
+    for (std::int64_t c = 0; c < m.cols(); ++c) row[c] = f16[in[c].bits()];
+    std::fill(row + m.cols(), row + cols, 0.0f);
   }
+  std::fill(out + m.rows() * cols, out + rows * cols, 0.0f);
   return out;
 }
 
@@ -37,44 +39,6 @@ struct BlockFault {
   std::int64_t local_row, local_col, k8_step;
   std::uint32_t xor_bits;
 };
-
-// The one fault-free inner kernel both B layouts execute: eight
-// independent FP32 chains (one per column of the MMA group), each
-// accumulating its K products in ascending k with a separate multiply and
-// add per product — exactly the scalar chain faulty_dot walks, so the
-// fast path is bit-identical to the fault path by construction. `brow`
-// points at {B(0, col0..col0+7)} and advances `stride` floats per k (the
-// padded row width for the raw layout, kN for a packed panel).
-//
-// Written with SSE2 intrinsics rather than left to the autovectorizer
-// because GCC, seeing the packed panel's contiguous 32-byte-per-k stream,
-// vectorizes this loop *across k* — a storm of cross-lane permutes to
-// keep each chain's adds in strict ascending-k order (no -ffast-math, so
-// it cannot reassociate instead), several times slower than lane-per-
-// column broadcast+multiply+add. A lane of _mm_mul_ps/_mm_add_ps is the
-// same IEEE single-precision operation as the scalar form, so the
-// intrinsic and fallback bodies are bit-identical.
-inline void dot8_lanes(const float* arow, std::int64_t kpad,
-                       const float* brow, std::int64_t stride, float* out) {
-#if defined(__SSE2__)
-  __m128 s0 = _mm_setzero_ps();
-  __m128 s1 = _mm_setzero_ps();
-  for (std::int64_t kx = 0; kx < kpad; ++kx, brow += stride) {
-    const __m128 av = _mm_set1_ps(arow[kx]);
-    s0 = _mm_add_ps(s0, _mm_mul_ps(av, _mm_loadu_ps(brow)));
-    s1 = _mm_add_ps(s1, _mm_mul_ps(av, _mm_loadu_ps(brow + 4)));
-  }
-  _mm_storeu_ps(out, s0);
-  _mm_storeu_ps(out + 4, s1);
-#else
-  float sums[MmaShape::kN] = {};
-  for (std::int64_t kx = 0; kx < kpad; ++kx, brow += stride) {
-    const float av = arow[kx];
-    for (int c = 0; c < MmaShape::kN; ++c) sums[c] += av * brow[c];
-  }
-  for (int c = 0; c < MmaShape::kN; ++c) out[c] = sums[c];
-#endif
-}
 
 void apply_fault(float& acc, std::uint32_t xor_bits) {
   acc = std::bit_cast<float>(std::bit_cast<std::uint32_t>(acc) ^ xor_bits);
@@ -99,20 +63,22 @@ struct RawBView {
   [[nodiscard]] Strip strip(std::int64_t col) const {
     return Strip{data + col, npad};
   }
-  // Fault-free column-group kernel: the row fragment {B(k, col0..col0+7)}
-  // is contiguous and its k+1 neighbour sits npad floats on.
-  void dot8(const float* arow, std::int64_t kpad, std::int64_t col0,
-            float* out) const {
-    dot8_lanes(arow, kpad, data + col0, npad, out);
+  // Microkernel operand from column col0: a panel's row fragment
+  // {B(k, c..c+7)} is contiguous, the next panel starts 8 floats on and
+  // the k+1 row npad floats on.
+  void bind(GemmBlockArgs& args, std::int64_t col0) const {
+    args.b = data + col0;
+    args.panel_stride = MmaShape::kN;
+    args.k_stride = npad;
   }
 };
 
 // Panel: a PackedOperand — k-major 8-column group panels, so a strip's
 // k-th value sits a fixed 8 floats after its (k-1)-th and the eight
-// strips of a column group are adjacent per k row. The column-group loop
-// below therefore reads one contiguous 8-float row per k, and advances
-// 32 bytes per k step: a sequential stream the SIMD kernel loads with two
-// unstrided 16-byte moves and the prefetcher sees through.
+// strips of a column group are adjacent per k row. The microkernel
+// therefore reads one contiguous 8-float row per panel per k, and
+// each panel advances 32 bytes per k step: sequential streams the
+// prefetcher sees through.
 struct PanelBView {
   const float* panels;
   std::int64_t kpad;
@@ -127,19 +93,18 @@ struct PanelBView {
     return Strip{panels + (col / MmaShape::kN) * kpad * MmaShape::kN +
                  col % MmaShape::kN};
   }
-  // Fault-free column-group kernel: each k consumes one contiguous
-  // 8-float panel row, 32 bytes from its k-1 neighbour, so the whole K
-  // extent streams sequentially.
-  void dot8(const float* arow, std::int64_t kpad_a, std::int64_t col0,
-            float* out) const {
-    dot8_lanes(arow, kpad_a,
-               panels + (col0 / MmaShape::kN) * kpad * MmaShape::kN,
-               MmaShape::kN, out);
+  // Microkernel operand from column col0: each k consumes one contiguous
+  // 8-float row per panel, 32 bytes from its k-1 neighbour, so every
+  // panel's K extent streams sequentially.
+  void bind(GemmBlockArgs& args, std::int64_t col0) const {
+    args.b = panels + (col0 / MmaShape::kN) * kpad * MmaShape::kN;
+    args.panel_stride = kpad * MmaShape::kN;
+    args.k_stride = MmaShape::kN;
   }
 };
 
 // Per-element K chain with injected faults: identical add order to the
-// fault-free fast loop (k ascending, i.e. the k8 steps of the blocked
+// fault-free microkernel (k ascending, i.e. the k8 steps of the blocked
 // schedule in order), with each fault's XOR applied at its step boundary —
 // exactly where the step-blocked schedule applied it to the accumulator.
 template <typename Strip>
@@ -171,10 +136,11 @@ float faulty_dot(const float* arow, const Strip& bcol,
 // The single definition of the threadblock execution: each output element
 // accumulates its K products in ascending k — byte-identical to kb slabs
 // of k8-step MMAs walked in order, because both visit an element's
-// products in the same sequence. Rows stream in 8-column groups (the MMA
-// kN) so eight independent FP32 chains stay in registers, the accumulator
-// is written exactly once per element, and B is read through `bview`
-// (contiguous panels when packed, the strided padded copy otherwise).
+// products in the same sequence. The fault-free microkernel
+// (gemm/gemm_kernel) keeps one FP32 chain per element in registers, its
+// micro-tiles reuse every B load across several rows, and B is read
+// through `bview` (contiguous panels when packed, the strided padded copy
+// otherwise).
 // Any change here must keep an element's accumulation order a function of
 // the K decomposition only — the stacking and packing invariants both
 // rest on that property.
@@ -187,6 +153,7 @@ void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
   const std::int64_t bm = (m + tile.mb - 1) / tile.mb;
   const std::int64_t bn = (n + tile.nb - 1) / tile.nb;
 
+  const GemmBlockFn kernel = best_gemm_kernel();
   std::atomic<std::int64_t> mma_count{0};
   // Fault fast path: the entire serving path injects nothing, so blocks
   // skip fault bookkeeping wholesale when the global list is empty — and
@@ -225,37 +192,40 @@ void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
       }
     }
 
-    // No zero-fill: every tile element is written exactly once below
-    // (padded elements included — the full predicated tile executes, which
-    // is what the MMA counters account).
+    // No zero-fill: the store reads only elements below (m, n), and the
+    // kernel writes every one of them. It skips micro-tiles wholly in the
+    // padding past m or n; the MMA counters still account the full
+    // predicated tile, which is what the modeled GPU kernel executes.
     float* acc = scratch_floats(
         ScratchSlot::gemm_accumulator,
         static_cast<std::size_t>(tile.mb) * static_cast<std::size_t>(tile.nb));
+    GemmBlockArgs args;
+    args.a = af + r0 * kpad;
+    args.lda = kpad;
+    bview.bind(args, c0);
+    args.c = acc;
+    args.ldc = tile.nb;
+    args.rows = std::min<std::int64_t>(tile.mb, m - r0);
+    args.panels =
+        (std::min<std::int64_t>(tile.nb, n - c0) + MmaShape::kN - 1) /
+        MmaShape::kN;
+    args.block_panels = tile.nb / MmaShape::kN;
+    args.k = kpad;
+    kernel(args);
 
-    for (std::int64_t r = 0; r < tile.mb; ++r) {
-      const float* arow = af + (r0 + r) * kpad;
-      float* crow = acc + static_cast<std::size_t>(r) * tile.nb;
-      for (std::int64_t nj = 0; nj < tile.nb; nj += MmaShape::kN) {
-        bool group_faulty = false;
-        for (const auto& f : faults) {
-          if (f.local_row == r && f.local_col >= nj &&
-              f.local_col < nj + MmaShape::kN) {
-            group_faulty = true;
-          }
-        }
-        if (!group_faulty) {
-          // Eight independent chains, each in ascending k — the same add
-          // sequence per element as the step-blocked MMA schedule. The
-          // view's dot8 kernel turns the chains into lane-per-column
-          // broadcast+FMA without reassociating any single chain.
-          bview.dot8(arow, kpad, c0 + nj, crow + nj);
-        } else {
-          for (int c = 0; c < MmaShape::kN; ++c) {
-            crow[nj + c] = faulty_dot(arow, bview.strip(c0 + nj + c),
-                                      k8_per_block, faults, r, nj + c);
-          }
-        }
-      }
+    // A faulted element's chain is walked again, once, with all its XORs
+    // applied at their step boundaries; the rest of its micro-tile keeps
+    // the kernel's bits, which are the same chains. Faults in skipped
+    // padding rewrite elements the store never reads.
+    for (auto f = faults.begin(); f != faults.end(); ++f) {
+      const bool rewritten = std::any_of(faults.begin(), f, [&](const auto& g) {
+        return g.local_row == f->local_row && g.local_col == f->local_col;
+      });
+      if (rewritten) continue;
+      acc[f->local_row * tile.nb + f->local_col] =
+          faulty_dot(af + (r0 + f->local_row) * kpad,
+                     bview.strip(c0 + f->local_col), k8_per_block, faults,
+                     f->local_row, f->local_col);
     }
 
     store(r0, c0, acc);

@@ -8,11 +8,12 @@
 // trial — that per-call conversion (allocate, zero-fill, convert) is pure
 // redundant work. A PackedOperand performs it once, into a k-major panel
 // layout: columns are grouped into MMA-width (kN = 8) panels, each panel
-// storing its 8 column values contiguously per k row. The executor's
-// column-group inner loop then reads one contiguous 8-float row per k —
-// the exact shape its eight accumulator chains consume — and consecutive
-// k steps advance linearly through memory, so a whole K-panel streams
-// sequentially instead of striding by the padded row width.
+// storing its 8 column values contiguously per k row. The microkernel
+// (gemm/gemm_kernel) then reads one contiguous 8-float row per panel per
+// k — a register's worth of column chains, reused across the micro-tile's
+// rows — and consecutive k steps advance linearly through memory, so a
+// whole K-panel streams sequentially instead of striding by the padded
+// row width.
 //
 // Packing changes the *layout* of the operand reads, never the K
 // decomposition: each product still enters its accumulator at exactly the

@@ -88,6 +88,14 @@ CASES = [
      "src/runtime/fixture_check.cpp", 0, False),
     ("hot-path-alloc", "hot_path_alloc_trigger.cpp",
      "src/core/fixture_blocks.cpp", 0, False),
+    # The microkernel bodies (micro_tile*, gemm_block_*) are hot in gemm/
+    # too; the variant table built once outside them is not.
+    ("hot-path-alloc", "hot_path_alloc_kernel_trigger.cpp",
+     "src/gemm/fixture_kernel.cpp", 1, True),
+    ("hot-path-alloc", "hot_path_alloc_kernel_clean.cpp",
+     "src/gemm/fixture_kernel.cpp", 0, False),
+    ("hot-path-alloc", "hot_path_alloc_kernel_trigger.cpp",
+     "src/runtime/fixture_kernel.cpp", 0, False),
 
     ("ordered-iteration", "ordered_iteration_trigger.cpp",
      "src/runtime/report.cpp", 1, True),

@@ -33,8 +33,9 @@ for a determinism suite or a hostile-locale test to catch the symptom:
                       rest on that.
 
   hot-path-alloc      Allocation inside a hot body: the run_blocks* GEMM
-                      bodies in gemm/ and ThreadLevelAbft::check in
-                      core/. Flags raw new/malloc/calloc/realloc, sized
+                      bodies and the microkernel bodies (micro_tile*,
+                      gemm_block_*) in gemm/, and ThreadLevelAbft::check
+                      in core/. Flags raw new/malloc/calloc/realloc, sized
                       container construction (std::vector<T> v(n)),
                       resize/reserve/assign and make_unique/make_shared.
                       Steady-state serving performs zero scratch
@@ -258,6 +259,8 @@ ALLOC_RE = re.compile(
 # hot-path-alloc: (path prefix, definition pattern) of the hot bodies.
 HOT_FNS = (
     ("src/gemm/", re.compile(r"\brun_blocks\w*\s*\("), "run_blocks*"),
+    ("src/gemm/", re.compile(r"\b(?:micro_tiles?|gemm_block_\w+)\s*\("),
+     "GEMM microkernel"),
     ("src/core/", re.compile(r"\bThreadLevelAbft\s*::\s*check\s*\("),
      "ThreadLevelAbft::check"),
 )
