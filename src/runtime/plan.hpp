@@ -82,9 +82,6 @@ struct InferencePlan {
   [[nodiscard]] int count_scheme(Scheme s) const;
 };
 
-/// Historical name, kept for the analytics-era API.
-using PipelinePlan = InferencePlan;
-
 /// Compiles `m` under `policy`: layers with identical profiling identity
 /// (GEMM shape + fusion context) are deduplicated through `cache` (when
 /// non-null) and profiled across the worker pool. Output is bit-identical

@@ -8,7 +8,7 @@
 
 namespace aift {
 
-RecoveryAnalysis analyze_recovery(const PipelinePlan& plan,
+RecoveryAnalysis analyze_recovery(const InferencePlan& plan,
                                   double fault_probability) {
   AIFT_CHECK(fault_probability >= 0.0 && fault_probability < 1.0);
   RecoveryAnalysis out;

@@ -4,7 +4,7 @@
 
 namespace aift {
 
-Table plan_table(const PipelinePlan& plan) {
+Table plan_table(const InferencePlan& plan) {
   Table t({"layer", "M", "N", "K", "intensity", "bound", "scheme", "T_o",
            "T_r", "overhead"});
   for (const auto& e : plan.entries) {
@@ -20,7 +20,7 @@ Table plan_table(const PipelinePlan& plan) {
   return t;
 }
 
-std::string plan_summary(const PipelinePlan& plan) {
+std::string plan_summary(const InferencePlan& plan) {
   std::ostringstream os;
   os << plan.model_name << " on " << plan.device_name << " ["
      << policy_name(plan.policy) << "]: base "

@@ -9,10 +9,10 @@ namespace aift {
 
 /// Per-layer table: name, GEMM dims, intensity, bound class, scheme,
 /// T_o, T_r, overhead.
-[[nodiscard]] Table plan_table(const PipelinePlan& plan);
+[[nodiscard]] Table plan_table(const InferencePlan& plan);
 
 /// One-line summary: "<model> on <device>: <policy> overhead X% ...".
-[[nodiscard]] std::string plan_summary(const PipelinePlan& plan);
+[[nodiscard]] std::string plan_summary(const InferencePlan& plan);
 
 /// Where measurement disagrees with the analytic model, per layer.
 struct DivergenceRow {

@@ -281,21 +281,21 @@ ServingEngine::Formed ServingEngine::form_due_locked(Clock::time_point at,
   // would let sustained traffic on one model starve another model's
   // urgent requests indefinitely.
   //
-  // A continuous shard with rows in flight is *always* due — it must keep
-  // stepping so its rows retire — ranked at `at` so an overdue closed
-  // batch elsewhere still goes first; its queued head joins at the next
-  // boundary regardless of the hold policy, which only governs starting
-  // an idle continuous shard.
+  // A shard with rows in flight (only a continuous shard keeps any
+  // between rounds) is *always* due — it must keep stepping so its rows
+  // retire — ranked at `at` so an overdue batch elsewhere still goes
+  // first; its queued head joins at the next boundary regardless of the
+  // hold policy, which only governs starting an idle shard.
   const auto urgency = [this, at](const Shard& s) {
     if (s.queue.empty()) {
-      // Step-only continuous round: no head to compare, least urgent at
-      // this instant.
+      // Step-only round: no head to compare, least urgent at this
+      // instant.
       return std::make_tuple(at, Priority::bulk,
                              std::numeric_limits<std::uint64_t>::max());
     }
     const Pending& head = s.queue.front();
     Clock::time_point due = next_due_locked(s);
-    if (s.policy.continuous && !s.live.empty()) due = std::min(due, at);
+    if (!s.live.empty()) due = std::min(due, at);
     return std::make_tuple(due, head.priority, head.seq);
   };
   Shard* chosen = nullptr;
@@ -303,8 +303,7 @@ ServingEngine::Formed ServingEngine::form_due_locked(Clock::time_point at,
     // A thread is mid-round on this shard; its queue will be looked at
     // again when the round completes and re-notifies the batcher.
     if (shard->stepping) continue;
-    const bool streaming = shard->policy.continuous &&
-                           !shard->live.empty();
+    const bool streaming = !shard->live.empty();
     const auto& queue = shard->queue;
     if (queue.empty() && !streaming) continue;
     if (!streaming) {
@@ -321,17 +320,13 @@ ServingEngine::Formed ServingEngine::form_due_locked(Clock::time_point at,
   if (chosen == nullptr) return formed;
 
   formed.shard = chosen;
-  formed.continuous = chosen->policy.continuous;
   auto& queue = chosen->queue;
-  // Continuous admission respects the in-flight cap: the wave tops the
-  // open batch back up to max_batch rows (possibly an empty, step-only
-  // wave when the batch is full or nothing is queued).
-  const auto capacity = static_cast<std::size_t>(
-      formed.continuous ? std::max<std::int64_t>(
-                              0, chosen->policy.max_batch -
-                                     static_cast<std::int64_t>(
-                                         chosen->live.size()))
-                        : chosen->policy.max_batch);
+  // Admission respects the in-flight cap: the wave tops the batch back up
+  // to max_batch rows (possibly an empty, step-only wave when a
+  // continuous batch is full or nothing is queued).
+  const auto capacity = static_cast<std::size_t>(std::max<std::int64_t>(
+      0, chosen->policy.max_batch -
+             static_cast<std::int64_t>(chosen->live.size())));
   const std::size_t n = std::min(queue.size(), capacity);
   formed.requests.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -340,7 +335,7 @@ ServingEngine::Formed ServingEngine::form_due_locked(Clock::time_point at,
     chosen->arrivals.erase(formed.requests.back().seq);
   }
   stats_.queue_depth -= static_cast<std::int64_t>(n);
-  if (formed.continuous) chosen->stepping = true;
+  chosen->stepping = true;
   return formed;
 }
 
@@ -375,235 +370,108 @@ ServingEngine::DispatchOutcome ServingEngine::dispatch_due(
   std::vector<Shed> shed = std::move(formed.shed);
   formed.shed.clear();
   resolve_shed(std::move(shed));
-  if (execute) {
-    if (formed.continuous) {
-      continuous_round(std::move(formed));
-    } else {
-      execute_batch(std::move(formed));
-    }
-  }
+  if (execute) run_round(std::move(formed));
   lock.lock();
   return outcome;
 }
 
-void ServingEngine::execute_batch(Formed formed) {
-  const auto batch_size = static_cast<std::int64_t>(formed.requests.size());
-  std::vector<BatchRequest> batch(formed.requests.size());
-  for (std::size_t r = 0; r < formed.requests.size(); ++r) {
-    batch[r].input = std::move(formed.requests[r].input);
-    batch[r].faults = std::move(formed.requests[r].faults);
-  }
-
-  const Clock::time_point dispatched = now();
-  std::exception_ptr error;
-  BatchResult result;
-  try {
-    if (opts_.on_dispatch) opts_.on_dispatch(formed.shard->name, batch_size);
-    result = formed.shard->executor.run(batch, opts_.batch);
-  } catch (...) {
-    // submit() validation makes an executor throw unreachable short of an
-    // engine bug (or a throwing on_dispatch hook); deliver it to the
-    // waiters rather than losing their futures — and account for it, so
-    // `submitted` reconciles with completed + failed + shed + queue_depth
-    // whenever the engine is quiescent.
-    error = std::current_exception();
-  }
-  const Clock::time_point finished = now();
-
-  const double execute_us = us_between(dispatched, finished);
-  std::vector<double> queue_us(formed.requests.size(), 0.0);
-  for (std::size_t r = 0; r < formed.requests.size(); ++r) {
-    queue_us[r] = us_between(formed.requests[r].enqueued, dispatched);
-  }
-
-  // Record stats BEFORE fulfilling the promises: a caller that wakes on
-  // future.get() and immediately reads stats() must see this batch
-  // counted — including a failed one.
-  {
-    MutexLock lock(mu_);
-    ++stats_.batches;
-    if (static_cast<std::int64_t>(stats_.batch_size_hist.size()) <=
-        batch_size) {
-      stats_.batch_size_hist.resize(
-          static_cast<std::size_t>(batch_size) + 1, 0);
-    }
-    ++stats_.batch_size_hist[static_cast<std::size_t>(batch_size)];
-    if (error) {
-      stats_.failed += batch_size;
-      for (std::size_t r = 0; r < formed.requests.size(); ++r) {
-        ++stats_.by_priority[priority_index(formed.requests[r].priority)]
-              .failed;
-        // The wait was real even though the batch failed: skipping the
-        // queue aggregates here would under-report queue pressure
-        // exactly when batches fail (mean_queue_us averages over
-        // completed + failed to match).
-        stats_.queue_us_total += queue_us[r];
-        stats_.queue_us_max = std::max(stats_.queue_us_max, queue_us[r]);
-      }
-    } else {
-      stats_.completed += batch_size;
-      for (std::size_t r = 0; r < formed.requests.size(); ++r) {
-        const Pending& pending = formed.requests[r];
-        const double latency = queue_us[r] + execute_us;
-        const bool met = finished <= pending.deadline;
-        (met ? ++stats_.deadline_hits : ++stats_.deadline_misses);
-        stats_.queue_us_total += queue_us[r];
-        stats_.queue_us_max = std::max(stats_.queue_us_max, queue_us[r]);
-        auto& cls = stats_.by_priority[priority_index(pending.priority)];
-        ++cls.completed;
-        (met ? ++cls.deadline_hits : ++cls.deadline_misses);
-        cls.latency_us_total += latency;
-        cls.latency_us_max = std::max(cls.latency_us_max, latency);
-      }
-      stats_.execute_us_total += execute_us * static_cast<double>(batch_size);
-      stats_.execute_us_max = std::max(stats_.execute_us_max, execute_us);
-    }
-  }
-
-  if (error) {
-    for (auto& pending : formed.requests) {
-      pending.promise.set_exception(error);
-    }
-  } else {
-    for (std::size_t r = 0; r < formed.requests.size(); ++r) {
-      ServedResult served;
-      served.session = std::move(result.requests[r]);
-      served.queue_us = queue_us[r];
-      served.execute_us = execute_us;
-      served.batch_size = batch_size;
-      served.priority = formed.requests[r].priority;
-      served.deadline_met = finished <= formed.requests[r].deadline;
-      formed.requests[r].promise.set_value(std::move(served));
-    }
-  }
-
-  {
-    MutexLock lock(mu_);
-    --in_flight_;
-  }
-  idle_cv_.notify_all();
-}
-
-void ServingEngine::continuous_round(Formed formed) {
+void ServingEngine::run_round(Formed formed) {
   Shard& shard = *formed.shard;
   const auto wave_size = static_cast<std::int64_t>(formed.requests.size());
+  // One stamp for the whole wave, taken before the hook: it ends every
+  // row's queue_us and starts its execute_us.
+  const Clock::time_point admitted_at = now();
 
-  // The admission hook mirrors execute_batch's dispatch hook; a throw
-  // here fails only this wave — nothing has been admitted yet, so the
-  // rows already in flight are untouched.
-  std::exception_ptr wave_error;
+  // A throw in the dispatch hook fails only this wave — nothing has been
+  // admitted yet, so the rows already in flight are untouched.
+  std::exception_ptr error;
   if (wave_size > 0 && opts_.on_dispatch) {
     try {
       opts_.on_dispatch(shard.name, wave_size);
     } catch (...) {
-      wave_error = std::current_exception();
+      error = std::current_exception();
     }
-  }
-  if (wave_error) {
-    const Clock::time_point at = now();
-    {
-      MutexLock lock(mu_);
-      ++stats_.batches;
-      if (static_cast<std::int64_t>(stats_.batch_size_hist.size()) <=
-          wave_size) {
-        stats_.batch_size_hist.resize(static_cast<std::size_t>(wave_size) + 1,
-                                      0);
-      }
-      ++stats_.batch_size_hist[static_cast<std::size_t>(wave_size)];
-      stats_.failed += wave_size;
-      for (const auto& pending : formed.requests) {
-        ++stats_.by_priority[priority_index(pending.priority)].failed;
-        const double q = us_between(pending.enqueued, at);
-        stats_.queue_us_total += q;
-        stats_.queue_us_max = std::max(stats_.queue_us_max, q);
-      }
-      shard.stepping = false;
-      --in_flight_;
-    }
-    for (auto& pending : formed.requests) {
-      pending.promise.set_exception(wave_error);
-    }
-    work_cv_.notify_one();
-    idle_cv_.notify_all();
-    return;
   }
 
-  // Admit the wave at the current layer boundary and advance the open
-  // batch one step. `stepping` gives this thread exclusive ownership of
-  // cont/live until it is cleared under the lock below.
-  const Clock::time_point admitted_at = now();
-  std::exception_ptr error;
+  // Admit the wave at the current layer boundary and step the batch.
+  // `stepping` gives this thread exclusive ownership of cont/live until
+  // settle() clears it under the lock.
   std::size_t admitted = 0;  // rows moved into shard.live so far
   std::vector<std::pair<std::int64_t, SessionResult>> retired;
-  try {
-    if (!shard.cont) shard.cont.emplace(shard.executor.begin(opts_.batch));
-    std::vector<std::int64_t> wave_ids;
-    wave_ids.reserve(formed.requests.size());
-    for (auto& pending : formed.requests) {
-      BatchRequest request;
-      request.input = std::move(pending.input);
-      request.faults = std::move(pending.faults);
-      const std::int64_t id = shard.cont->admit(std::move(request));
-      Shard::LiveRow row;
-      row.request = std::move(pending);
-      row.admitted = admitted_at;
-      shard.live.emplace(id, std::move(row));
-      wave_ids.push_back(id);
-      ++admitted;
-      if (opts_.on_admit) {
-        opts_.on_admit(shard.name, static_cast<std::int64_t>(admitted),
-                       wave_size);
+  if (!error) {
+    try {
+      if (!shard.cont) shard.cont.emplace(shard.session, opts_.batch);
+      const auto cohort =
+          static_cast<std::int64_t>(shard.live.size()) + wave_size;
+      for (auto& pending : formed.requests) {
+        BatchRequest request;
+        request.input = std::move(pending.input);
+        request.faults = std::move(pending.faults);
+        const std::int64_t id = shard.cont->admit(std::move(request));
+        Shard::LiveRow row;
+        row.request = std::move(pending);
+        row.admitted = admitted_at;
+        row.cohort = cohort;
+        shard.live.emplace(id, std::move(row));
+        ++admitted;
+        if (opts_.on_admit) {
+          opts_.on_admit(shard.name, static_cast<std::int64_t>(admitted),
+                         wave_size);
+        }
       }
+      // The one place the mode is read: a continuous round advances the
+      // batch one layer boundary; a closed round steps it to idle, which
+      // is exactly BatchExecutor::run.
+      do {
+        shard.cont->step();
+      } while (!shard.policy.continuous && !shard.cont->idle());
+      retired = shard.cont->take_finished();
+    } catch (...) {
+      // submit() validation makes this unreachable short of an engine bug
+      // (or a throwing on_admit hook), but a batch whose step threw is
+      // not safely resumable: fail every in-flight row rather than losing
+      // their futures, and reset the shard's batch.
+      error = std::current_exception();
+      for (auto& [id, row] : shard.live) {
+        retired.emplace_back(id, SessionResult{});
+      }
+      shard.cont.reset();
     }
-    const auto cohort = static_cast<std::int64_t>(shard.live.size());
-    for (const std::int64_t id : wave_ids) shard.live[id].cohort = cohort;
-    if (!shard.cont->idle()) shard.cont->step();
-    retired = shard.cont->take_finished();
-  } catch (...) {
-    // submit() validation makes this unreachable short of an engine bug
-    // (or a throwing on_admit hook), but an open batch whose step threw
-    // is not safely resumable: fail every in-flight row rather than
-    // losing their futures, and reset the shard's batch.
-    error = std::current_exception();
   }
-  const Clock::time_point finished_at = now();
 
-  struct Settled {
-    Shard::LiveRow row;
-    SessionResult session;
-  };
   std::vector<Settled> settled;
-  if (error) {
-    settled.reserve(shard.live.size() + formed.requests.size() - admitted);
-    for (auto& [id, row] : shard.live) {
-      settled.push_back(Settled{std::move(row), SessionResult{}});
-    }
-    // Rows the throw cut off before admission never reached shard.live
-    // but still hold their promises: settle them with the same error, or
-    // their callers hang and submitted == completed + failed + shed +
-    // queue_depth stops reconciling.
-    for (std::size_t r = admitted; r < formed.requests.size(); ++r) {
-      Shard::LiveRow row;
-      row.request = std::move(formed.requests[r]);
-      row.admitted = admitted_at;
-      settled.push_back(Settled{std::move(row), SessionResult{}});
-    }
-    shard.live.clear();
-    shard.cont.reset();
-  } else {
-    settled.reserve(retired.size());
-    for (auto& [id, session] : retired) {
-      auto it = shard.live.find(id);
-      AIFT_CHECK_MSG(it != shard.live.end(),
-                     "retired row " << id << " has no live bookkeeping");
-      settled.push_back(Settled{std::move(it->second), std::move(session)});
-      shard.live.erase(it);
-    }
+  settled.reserve(retired.size() + formed.requests.size() - admitted);
+  // Admission order: ids grow with admission, and a closed round's rows
+  // retire across several steps when a rewind holds one back.
+  std::sort(retired.begin(), retired.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [id, session] : retired) {
+    auto it = shard.live.find(id);
+    AIFT_CHECK_MSG(it != shard.live.end(),
+                   "retired row " << id << " has no live bookkeeping");
+    settled.push_back(Settled{std::move(it->second), std::move(session)});
+    shard.live.erase(it);
   }
+  // Rows the error cut off before admission never reached shard.live but
+  // still hold their promises: settle them with the same error, or their
+  // callers hang and submitted == completed + failed + shed + queue_depth
+  // stops reconciling.
+  for (std::size_t r = admitted; r < formed.requests.size(); ++r) {
+    Shard::LiveRow row;
+    row.request = std::move(formed.requests[r]);
+    row.admitted = admitted_at;
+    settled.push_back(Settled{std::move(row), SessionResult{}});
+  }
+  settle(shard, wave_size, std::move(settled), error);
+}
 
-  // Record stats BEFORE fulfilling the promises (same contract as
-  // execute_batch): a caller that wakes on future.get() and immediately
-  // reads stats() must see its request counted.
+void ServingEngine::settle(Shard& shard, std::int64_t wave_size,
+                           std::vector<Settled> settled,
+                           const std::exception_ptr& error) {
+  const Clock::time_point finished_at = now();
+  // Record stats BEFORE fulfilling the promises: a caller that wakes on
+  // future.get() and immediately reads stats() must see its request
+  // counted — including a failed one.
   {
     MutexLock lock(mu_);
     if (wave_size > 0) {
@@ -617,13 +485,16 @@ void ServingEngine::continuous_round(Formed formed) {
     }
     for (const auto& s : settled) {
       const Pending& pending = s.row.request;
+      // The wait was real even when the round failed: skipping the queue
+      // aggregates would under-report queue pressure exactly when rounds
+      // fail (mean_queue_us averages over completed + failed to match).
       const double queue_us = us_between(pending.enqueued, s.row.admitted);
+      stats_.queue_us_total += queue_us;
+      stats_.queue_us_max = std::max(stats_.queue_us_max, queue_us);
       auto& cls = stats_.by_priority[priority_index(pending.priority)];
       if (error) {
         ++stats_.failed;
         ++cls.failed;
-        stats_.queue_us_total += queue_us;
-        stats_.queue_us_max = std::max(stats_.queue_us_max, queue_us);
         continue;
       }
       const double execute_us = us_between(s.row.admitted, finished_at);
@@ -631,8 +502,6 @@ void ServingEngine::continuous_round(Formed formed) {
       const bool met = finished_at <= pending.deadline;
       ++stats_.completed;
       (met ? ++stats_.deadline_hits : ++stats_.deadline_misses);
-      stats_.queue_us_total += queue_us;
-      stats_.queue_us_max = std::max(stats_.queue_us_max, queue_us);
       stats_.execute_us_total += execute_us;
       stats_.execute_us_max = std::max(stats_.execute_us_max, execute_us);
       ++cls.completed;
@@ -640,8 +509,6 @@ void ServingEngine::continuous_round(Formed formed) {
       cls.latency_us_total += latency;
       cls.latency_us_max = std::max(cls.latency_us_max, latency);
     }
-    shard.stepping = false;
-    --in_flight_;
   }
 
   for (auto& s : settled) {
@@ -659,8 +526,14 @@ void ServingEngine::continuous_round(Formed formed) {
     s.row.request.promise.set_value(std::move(served));
   }
 
-  // The round is over: wake the batcher (it skipped this shard while
-  // stepping) and any drain()/shutdown() waiter.
+  // The round is over — only now, so a drain() that sees no round in
+  // flight also sees every future it settled ready. Wake the batcher (it
+  // skipped this shard while stepping) and any drain()/shutdown() waiter.
+  {
+    MutexLock lock(mu_);
+    shard.stepping = false;
+    --in_flight_;
+  }
   work_cv_.notify_one();
   idle_cv_.notify_all();
 }

@@ -6,7 +6,7 @@
 // had to hand-assemble batches; a serving process sees a *stream* of
 // single requests. ServingEngine closes that gap: it owns one thread-safe
 // RequestQueue per registered model (multi-session sharding: model name ->
-// InferencePlan -> InferenceSession -> BatchExecutor) and a scheduler that
+// InferencePlan -> InferenceSession -> ContinuousBatch) and a scheduler that
 // forms batches under a per-model BatchPolicy.
 //
 // Two scheduling policies (BatchPolicy::scheduler):
@@ -28,9 +28,13 @@
 //     SLO-attainment bench; deadlines are still *tracked* (for the
 //     hit/miss statistics) but never influence scheduling.
 //
-// Orthogonal to the scheduler, BatchPolicy::continuous switches a shard
-// from closed batches to continuous batching: the shard keeps one open
-// ContinuousBatch and admits queued requests into it at layer boundaries
+// Every shard runs in *rounds*, one at a time, through one routine: a
+// round admits the formed wave into the shard's ContinuousBatch at a layer
+// boundary, steps it, and settles the rows that retired. Orthogonal to the
+// scheduler, BatchPolicy::continuous picks how far a round steps. A closed
+// shard (the default) steps its round to idle, so the wave retires
+// together — exactly BatchExecutor::run. A continuous shard steps once and
+// keeps its rows in flight, admitting queued requests at the next boundary
 // (scheduler order, up to max_batch rows in flight) instead of waiting for
 // the previous batch to retire. Retiring rows leave at a boundary too, so
 // their final deferred ABFT reduction hides behind the next admission
@@ -39,11 +43,11 @@
 //
 // Either way, every submit() returns a future whose SessionResult is
 // exactly — bit for bit — what a standalone InferenceSession::run of that
-// request would produce, because batches are dispatched unmodified to
-// BatchExecutor / ContinuousBatch, whose batch-, order- and
-// admission-invariance is already CTest-pinned. EDF reordering, shedding,
-// priority classes and mid-flight admission change only *which* requests
-// share executor steps and *when*, never any request's result.
+// request would produce, because requests are admitted unmodified to a
+// ContinuousBatch, whose batch-, order- and admission-invariance is
+// already CTest-pinned. EDF reordering, shedding, priority classes and
+// mid-flight admission change only *which* requests share executor steps
+// and *when*, never any request's result.
 //
 // Two driving modes:
 //   - threaded (default): a background batcher thread waits on the queues
@@ -52,8 +56,8 @@
 //     in this mode (the batcher sleeps in real time; fake timestamps would
 //     turn every due/deadline decision into nonsense).
 //   - stepped (Options::threaded = false): nothing runs until the caller
-//     invokes pump(), which sheds every expired request and dispatches
-//     every batch due at the injected clock's current time, synchronously,
+//     invokes pump(), which sheds every expired request and runs every
+//     round due at the injected clock's current time, synchronously,
 //     in a deterministic order (most urgent head request first, model name
 //     breaking ties). With a fake clock this makes scheduling decisions
 //     — "3 waiting, max_batch 4, deadline not yet close → no batch" —
@@ -130,14 +134,15 @@ struct BatchPolicy {
   /// even when max_delay has not expired. A margin >= the SLO means
   /// "dispatch immediately".
   std::chrono::microseconds dispatch_margin{2000};
-  /// Continuous batching: keep one open ContinuousBatch per shard and
-  /// admit queued requests into it at layer boundaries, up to max_batch
-  /// rows in flight. The hold policy (max_delay / dispatch_margin / full)
-  /// governs only *starting* an idle shard; once rows are in flight,
-  /// queued requests join at the very next boundary capacity allows —
-  /// that immediacy is the point. Retiring rows hand their final deferred
-  /// check to the next wave's first GEMM (cross-batch overlap). Admission
-  /// never changes a served row's SessionResult.
+  /// Continuous batching: each round steps the shard's open
+  /// ContinuousBatch one layer boundary instead of to idle, so rows stay
+  /// in flight between rounds (up to max_batch of them). The hold policy
+  /// (max_delay / dispatch_margin / full) governs only *starting* an idle
+  /// shard; once rows are in flight, queued requests join at the very
+  /// next boundary capacity allows — that immediacy is the point.
+  /// Retiring rows hand their final deferred check to the next wave's
+  /// first GEMM (cross-batch overlap). Admission never changes a served
+  /// row's SessionResult.
   bool continuous = false;
 };
 
@@ -177,12 +182,13 @@ struct ServedResult {
   /// Exactly what InferenceSession::run(input, {faults}) would return for
   /// this request, bit for bit — output, traces, digests.
   SessionResult session;
-  double queue_us = 0.0;    ///< submit -> batch dispatch (continuous:
-                            ///< submit -> admission into the open batch)
-  double execute_us = 0.0;  ///< dispatch -> batch completion (continuous:
-                            ///< admission -> the request's retirement)
-  /// Size of the dynamically formed batch; continuous: rows in flight
-  /// just after this request's admission wave.
+  /// submit -> the start of the round that admitted the request.
+  double queue_us = 0.0;
+  /// That round's start -> the end of the round the request retired in
+  /// (closed shards: the same round).
+  double execute_us = 0.0;
+  /// Rows in flight just after the request's admission wave (closed
+  /// shards: the size of the dynamically formed batch).
   std::int64_t batch_size = 0;
   Priority priority = Priority::standard;
   /// Completion (by the engine clock) happened at or before the request's
@@ -222,13 +228,13 @@ struct PriorityClassStats {
 struct ServingStats {
   std::int64_t submitted = 0;  ///< requests accepted by submit()
   std::int64_t completed = 0;  ///< requests whose future carries a result
-  std::int64_t failed = 0;  ///< requests whose future carries an executor
-                            ///< error (the batch dispatched but its run
-                            ///< threw; counted in batches + histogram)
+  std::int64_t failed = 0;  ///< requests whose future carries an engine
+                            ///< error (a round that held the request
+                            ///< threw; its wave still counts in batches)
   std::int64_t shed = 0;    ///< requests resolved DeadlineExceeded without
                             ///< ever joining a batch
-  std::int64_t batches = 0;    ///< batches dispatched to executors
-                               ///< (continuous: non-empty admission waves)
+  std::int64_t batches = 0;    ///< non-empty admission waves (one per
+                               ///< round that dispatched requests)
   std::int64_t queue_depth = 0;      ///< pending right now, all models
   std::int64_t max_queue_depth = 0;  ///< high-water mark of queue_depth
   std::int64_t deadline_hits = 0;    ///< completions at or before deadline
@@ -292,19 +298,21 @@ class ServingEngine {
     /// sleeps in real time, so fake timestamps would silently produce
     /// nonsense scheduling.
     ClockFn clock;
-    /// Forwarded to every BatchExecutor::run (parallel execution with
+    /// Options of every shard's ContinuousBatch (parallel execution with
     /// deferred, overlapped verification by default).
     BatchOptions batch;
-    /// Observability / admission hook, invoked off-lock just before each
-    /// formed batch executes. An exception thrown here follows the
-    /// executor-failure path: the batch's futures carry the exception and
-    /// its requests count as `failed`. Tests use it to exercise that path.
+    /// Observability / admission hook, invoked off-lock at the start of
+    /// each round with a non-empty wave, before any of it is admitted. An
+    /// exception thrown here fails only the wave: its futures carry the
+    /// exception and its requests count as `failed`, while rows already in
+    /// flight (continuous shards) are untouched. Tests use it to exercise
+    /// that path.
     std::function<void(const std::string& model, std::int64_t batch_size)>
         on_dispatch;
-    /// Observability hook for continuous admission waves, invoked off-lock
-    /// after each row of a wave joins the shard's open batch (rows
-    /// admitted so far in this wave, wave size). An exception thrown here
-    /// follows the engine-failure path: the open batch is not safely
+    /// Observability hook invoked off-lock after each row of a wave joins
+    /// the shard's batch (rows admitted so far in this wave, wave size),
+    /// closed and continuous shards alike. An exception thrown here
+    /// follows the engine-failure path: the batch is not safely
     /// resumable, so every in-flight row *and* the wave's not-yet-admitted
     /// remainder fail with the exception and the shard's batch resets.
     /// Tests use it to exercise that path — it is the only supported way
@@ -323,8 +331,7 @@ class ServingEngine {
 
   /// Registers a model shard: the plan is instantiated into an
   /// InferenceSession (weights + offline checksums) fronted by its own
-  /// BatchExecutor and RequestQueue. Rejects duplicate names and
-  /// degenerate policies.
+  /// RequestQueue. Rejects duplicate names and degenerate policies.
   void add_model(const std::string& name, InferencePlan plan,
                  const BatchPolicy& policy = {},
                  const SessionOptions& session_opts = {});
@@ -362,30 +369,33 @@ class ServingEngine {
       const std::string& model, Matrix<half_t> input,
       std::vector<SessionFault> faults = {}, const RequestOptions& req = {});
 
-  /// Stepped mode only: sheds every expired request and dispatches every
-  /// batch due at clock() now — most urgent head request first (name
-  /// order breaks ties) — synchronously on the calling thread. A
-  /// continuous shard with rows in flight is stepped round by round until
-  /// it quiesces (its queue drained and every row retired). Returns the
-  /// number of batches (continuous: non-empty admission waves)
-  /// dispatched; sheds and step-only rounds are not batches.
+  /// Stepped mode only: sheds every expired request and runs every round
+  /// due at clock() now — most urgent head request first (name order
+  /// breaks ties) — synchronously on the calling thread. A continuous
+  /// shard with rows in flight is stepped round by round until it
+  /// quiesces (its queue drained and every row retired). Returns the
+  /// number of batches (ServingStats::batches) dispatched; sheds and
+  /// step-only rounds are not batches.
   std::size_t pump();
 
-  /// Stepped mode only: performs exactly ONE scheduling round — the shed
-  /// pass plus at most one formed batch or continuous round (admission
-  /// wave + single layer step) — and returns the number of rows left in
-  /// flight inside continuous shards. Lets tests interleave submit()
-  /// with layer boundaries deterministically: a request submitted
-  /// between two pump_step() calls joins mid-flight at the next
-  /// boundary, exactly like a late arrival against a threaded engine.
+  /// Stepped mode only: performs exactly ONE scheduling pass — the shed
+  /// pass plus at most one round (admission wave + a single layer step on
+  /// a continuous shard, steps to idle on a closed one) — and returns the
+  /// number of rows left in flight inside continuous shards. Lets tests
+  /// interleave submit() with layer boundaries deterministically: a
+  /// request submitted between two pump_step() calls joins mid-flight at
+  /// the next boundary, exactly like a late arrival against a threaded
+  /// engine.
   std::int64_t pump_step();
 
   /// Blocks until every pending request has been resolved — served, or
   /// (edf, deadline already passed) shed — force-flushing in either mode:
   /// the hold policy (max_delay / dispatch_margin) is waived, max_batch
-  /// still caps each batch. Flushed batches execute on the calling
-  /// thread; in threaded mode the batcher keeps dispatching concurrently
-  /// and drain() additionally waits for its in-flight batches.
+  /// still caps each batch. Flushed rounds run on the calling thread; in
+  /// threaded mode the batcher keeps dispatching concurrently and drain()
+  /// additionally waits for its in-flight rounds. A shard runs one round
+  /// at a time, so drain() never runs a round beside the batcher's on the
+  /// same shard: it waits for that round to finish instead.
   void drain();
 
   /// Stops intake (further submits throw), resolves everything still
@@ -410,7 +420,6 @@ class ServingEngine {
     std::string name;
     BatchPolicy policy;
     InferenceSession session;
-    BatchExecutor executor;
     /// fifo: submit order. edf: kept sorted most-urgent-first by
     /// (deadline, priority, seq), so the expired prefix and the next batch
     /// are both pops from the front.
@@ -421,9 +430,10 @@ class ServingEngine {
     /// max_delay aging check O(1) instead of a queue scan.
     std::map<std::uint64_t, Clock::time_point> arrivals;
 
-    /// Continuous mode (BatchPolicy::continuous): the shard's open
-    /// ContinuousBatch — created at its first admission wave — plus the
-    /// bookkeeping of its in-flight rows, keyed by executor row id.
+    /// The shard's ContinuousBatch — created at its first round — plus the
+    /// bookkeeping of its in-flight rows, keyed by executor row id. Only a
+    /// continuous shard keeps rows here between rounds; a closed round
+    /// steps to idle, so `live` is empty whenever it is not stepping.
     struct LiveRow {
       Pending request;             ///< promise + deadline bookkeeping
       Clock::time_point admitted;  ///< its admission wave's timestamp
@@ -436,23 +446,24 @@ class ServingEngine {
     std::optional<CalibrationTable> calibration;
     /// A thread is running this shard's round (admit + step + settle)
     /// off-lock and exclusively owns `cont` and `live` until it clears
-    /// the flag; scheduling passes skip the shard meanwhile. The flag is
-    /// only read/written under the engine's mu_, which supplies the
-    /// happens-before between consecutive owners. (Every Shard field is
-    /// guarded by the owning engine's mu_ — except `session`, `executor`,
-    /// `cont` and `live`, which the round thread owns exclusively while
-    /// `stepping` is set. Clang's GUARDED_BY cannot name the enclosing
-    /// object's member from a nested struct, so the protocol is enforced
-    /// one level up: every ServingEngine method that touches a Shard is
-    /// annotated AIFT_REQUIRES(mu_) or takes a scoped lock.)
+    /// the flag; every formed round sets it, closed or continuous, so a
+    /// shard runs at most one round at a time and scheduling passes skip
+    /// it meanwhile. The flag is only read/written under the engine's
+    /// mu_, which supplies the happens-before between consecutive owners.
+    /// (Every Shard field is guarded by the owning engine's mu_ — except
+    /// `session`, `cont` and `live`, which the round thread owns
+    /// exclusively while `stepping` is set. Clang's GUARDED_BY cannot
+    /// name the enclosing object's member from a nested struct, so the
+    /// protocol is enforced one level up: every ServingEngine method that
+    /// touches a Shard is annotated AIFT_REQUIRES(mu_) or takes a scoped
+    /// lock.)
     bool stepping = false;
 
     Shard(std::string model_name, InferencePlan plan, const BatchPolicy& p,
           const SessionOptions& sopts)
         : name(std::move(model_name)),
           policy(p),
-          session(std::move(plan), sopts),
-          executor(session) {}
+          session(std::move(plan), sopts) {}
   };
 
   /// One expired request popped by the shedding pass, with its outcome
@@ -464,13 +475,12 @@ class ServingEngine {
     Pending pending;
   };
 
-  /// One scheduling pass's output: at most one formed batch — or, for a
-  /// continuous shard, one admission wave (possibly empty: a step-only
-  /// round that advances the in-flight rows) — plus every request shed
-  /// (possibly from several shards) during the pass.
+  /// One scheduling pass's output: at most one round's admission wave
+  /// (possibly empty on a continuous shard: a step-only round that
+  /// advances the in-flight rows) plus every request shed (possibly from
+  /// several shards) during the pass.
   struct Formed {
     Shard* shard = nullptr;
-    bool continuous = false;
     std::vector<Pending> requests;
     std::vector<Shed> shed;
   };
@@ -485,21 +495,22 @@ class ServingEngine {
   [[nodiscard]] Clock::time_point next_due_locked(const Shard& shard) const
       AIFT_REQUIRES(mu_);
 
-  /// Sheds every expired request on every edf shard, then pops the next
-  /// due batch in urgency order (edf: earliest deadline, priority, seq;
-  /// fifo: oldest head request), or leaves Formed::shard null. `force`
-  /// waives the hold policy (drain/shutdown). Caller holds mu_.
+  /// Sheds every expired request on every edf shard, then picks the next
+  /// due shard in urgency order (edf: earliest deadline, priority, seq;
+  /// fifo: oldest head request), pops its round's wave and sets its
+  /// `stepping` flag — or leaves Formed::shard null. `force` waives the
+  /// hold policy (drain/shutdown). Caller holds mu_.
   Formed form_due_locked(Clock::time_point at, bool force)
       AIFT_REQUIRES(mu_);
 
   struct DispatchOutcome {
-    bool any = false;    ///< something happened (a batch and/or sheds)
-    bool batch = false;  ///< a batch was executed
+    bool any = false;    ///< something happened (a round and/or sheds)
+    bool batch = false;  ///< a round dispatched a non-empty wave
   };
 
   /// One scheduling pass shared by pump()/drain()/batcher_loop(): forms
-  /// under the lock, then releases it to resolve sheds and execute the
-  /// batch, reacquiring before returning. AIFT_REQUIRES(mu_) states the
+  /// under the lock, then releases it to resolve sheds and run the round,
+  /// reacquiring before returning. AIFT_REQUIRES(mu_) states the
   /// lock-passing contract (`lock` must own mu_ on entry and owns it
   /// again on return), so call sites are fully checked; the suppression
   /// is narrowly scoped to the body, whose unlock/relock dance on a
@@ -515,15 +526,27 @@ class ServingEngine {
   /// form_due_locked, so a waiter that wakes sees them counted).
   void resolve_shed(std::vector<Shed> shed) AIFT_EXCLUDES(mu_);
 
-  /// Executes a formed batch and fulfills its promises. Called with mu_
-  /// released; takes mu_ only to update stats.
-  void execute_batch(Formed formed) AIFT_EXCLUDES(mu_);
+  /// A row leaving its shard's batch: its bookkeeping plus the result it
+  /// retired with (empty when the round failed).
+  struct Settled {
+    Shard::LiveRow row;
+    SessionResult session;
+  };
 
-  /// Runs one continuous round: admits the wave into the shard's open
-  /// ContinuousBatch, advances it one layer step, and settles every row
-  /// that retired (fulfilling promises + stats). Called with mu_
+  /// Runs one round on the formed shard: admits the wave into its
+  /// ContinuousBatch, steps it once (continuous) or to idle (closed), and
+  /// hands every row that left the batch to settle(). Called with mu_
   /// released and the shard's `stepping` flag held.
-  void continuous_round(Formed formed) AIFT_EXCLUDES(mu_);
+  void run_round(Formed formed) AIFT_EXCLUDES(mu_);
+
+  /// Ends a round at clock() now: records its stats under mu_, fulfills
+  /// every settled row's promise (with `error` when set), then clears
+  /// the shard's `stepping` flag and the in-flight count and wakes the
+  /// batcher and drain() waiters. `wave_size` is the round's admission
+  /// wave.
+  void settle(Shard& shard, std::int64_t wave_size,
+              std::vector<Settled> settled, const std::exception_ptr& error)
+      AIFT_EXCLUDES(mu_);
 
   [[nodiscard]] std::int64_t pending_locked() const AIFT_REQUIRES(mu_);
   void batcher_loop();
@@ -535,7 +558,7 @@ class ServingEngine {
   std::map<std::string, std::unique_ptr<Shard>> shards_ AIFT_GUARDED_BY(mu_);
   ServingStats stats_ AIFT_GUARDED_BY(mu_);
   std::uint64_t next_seq_ AIFT_GUARDED_BY(mu_) = 0;
-  /// Batches currently executing.
+  /// Rounds currently running.
   std::int64_t in_flight_ AIFT_GUARDED_BY(mu_) = 0;
   /// Sheds popped from a queue whose DeadlineExceeded promise has not
   /// been set yet (resolution happens off-lock): drain() counts them as

@@ -147,11 +147,9 @@ class InferenceSession {
     std::optional<ThreadReplication> repl;
   };
 
-  // The batched serving engine executes the session's layers directly;
-  // its streaming core (ContinuousBatch) is the single definition of the
-  // execution semantics that run(), run_from() and layer_inputs() must
-  // stay bit-identical to.
-  friend class BatchExecutor;
+  // The batched engine's streaming core executes the session's layers
+  // directly; it is the single definition of the execution semantics
+  // that run(), run_from() and layer_inputs() must stay bit-identical to.
   friend class ContinuousBatch;
 
   [[nodiscard]] bool check_layer(const Layer& layer, const Matrix<half_t>& a,

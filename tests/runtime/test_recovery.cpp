@@ -19,8 +19,8 @@ class RecoveryTest : public ::testing::Test {
  protected:
   GemmCostModel model_{devices::t4()};
   ProtectedPipeline pipe_{model_};
-  PipelinePlan plan_ = pipe_.plan(zoo::dlrm_mlp_bottom(1),
-                                  ProtectionPolicy::intensity_guided);
+  InferencePlan plan_ = pipe_.plan(zoo::dlrm_mlp_bottom(1),
+                                   ProtectionPolicy::intensity_guided);
 };
 
 TEST_F(RecoveryTest, ZeroFaultRateMeansNoRetries) {

@@ -1031,5 +1031,61 @@ TEST_F(ServingTest, EmptyEngineIsInert) {
   engine.shutdown();
 }
 
+// A closed shard runs through the same round as a continuous one, so the
+// mid-wave engine-failure path covers it too: on_admit fires per admitted
+// row, and a throw after 2 of 3 admissions fails the admitted rows and the
+// un-admitted tail alike — one counted batch, every promise resolved, and
+// the shard's batch reset so the next batch serves bit-identically.
+TEST_F(ServingTest, ClosedBatchMidAdmitFailureResolvesEveryPromise) {
+  ManualClock clock;
+  bool fail_mid_wave = true;
+  ServingEngine::Options opts = stepped_options(clock);
+  opts.on_admit = [&fail_mid_wave](const std::string& model,
+                                   std::int64_t admitted,
+                                   std::int64_t wave_size) {
+    if (fail_mid_wave && admitted == 2) {
+      throw std::runtime_error("injected engine failure in " + model +
+                               " after 2/" + std::to_string(wave_size) +
+                               " admissions");
+    }
+  };
+  ServingEngine engine(std::move(opts));
+  BatchPolicy policy;
+  policy.scheduler = SchedulerKind::fifo;
+  policy.max_delay = microseconds(0);
+  engine.add_model("dlrm", plan(), policy);
+  const auto& session = engine.session("dlrm");
+
+  auto a = engine.submit("dlrm", session.make_input(71));
+  auto b = engine.submit("dlrm", session.make_input(72));
+  auto c = engine.submit("dlrm", session.make_input(73));
+  EXPECT_EQ(engine.pump(), 1u);
+  EXPECT_THROW((void)a.get(), std::runtime_error);
+  EXPECT_THROW((void)b.get(), std::runtime_error);
+  EXPECT_THROW((void)c.get(), std::runtime_error);
+
+  const ServingStats failed = engine.stats();
+  EXPECT_EQ(failed.submitted, 3);
+  EXPECT_EQ(failed.completed, 0);
+  EXPECT_EQ(failed.failed, 3);
+  EXPECT_EQ(failed.batches, 1);
+  ASSERT_EQ(failed.batch_size_hist.size(), 4u);
+  EXPECT_EQ(failed.batch_size_hist[3], 1);
+  EXPECT_EQ(failed.queue_depth, 0);
+  expect_reconciled(failed);
+
+  fail_mid_wave = false;
+  auto d = engine.submit("dlrm", session.make_input(74));
+  auto e = engine.submit("dlrm", session.make_input(75));
+  EXPECT_EQ(engine.pump(), 1u);
+  const ServedResult served_d = d.get();
+  EXPECT_EQ(served_d.batch_size, 2);
+  expect_identical(served_d.session, session.run(session.make_input(74)),
+                   "post-failure request d");
+  expect_identical(e.get().session, session.run(session.make_input(75)),
+                   "post-failure request e");
+  expect_reconciled(engine.stats());
+}
+
 }  // namespace
 }  // namespace aift
