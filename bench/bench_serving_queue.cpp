@@ -33,7 +33,7 @@
 // FIFO dispatch semantics (max_batch, max_delay holds, one batch in
 // flight) whose GEMM durations come from the plan's profiled cost model —
 // launch/prologue charged per issued GEMM group, compute charged per
-// occupied M-tile row, exactly the padding functional_gemm_batched pays.
+// occupied M-tile row, exactly the padding a stacked functional_gemm pays.
 // Wall clock on the functional simulator measures host scheduler noise;
 // model time measures the dispatch policy, in the same cost-model
 // microseconds every figure bench in this repo reports. At overload the
@@ -306,8 +306,8 @@ SloPoint drive_slo(const InferencePlan& plan,
 //   fixed_us + ceil(k * m_req / mb) * tile_row_us
 // — the launch/prologue is paid once per issued GEMM (a closed batch
 // issues one per layer; continuous cursor groups each issue their own),
-// and compute is paid per occupied M-tile row, the same tile padding
-// functional_gemm_batched's run_blocks charges.
+// and compute is paid per occupied M-tile row, the same tile padding a
+// stacked functional_gemm charges.
 struct LayerCostModel {
   double fixed_us = 0.0;     ///< launch + checksum pre/second kernels
   double tile_row_us = 0.0;  ///< compute per occupied M-tile row

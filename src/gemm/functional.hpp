@@ -42,46 +42,10 @@ struct GemmCounters {
 
 struct FunctionalOptions {
   bool parallel = true;
+  /// Faults to inject, in C coordinates. A fault whose row or column lies
+  /// past the output lands in tile padding and never reaches a store.
   std::vector<FaultSpec> faults;
   GemmCounters* counters = nullptr;
-};
-
-/// C (M x N, FP16) = A (M x K, FP16) * B (K x N, FP16), FP32 accumulation,
-/// FP16 store (round-to-nearest-even). Out-of-range reads behave as zero
-/// padding; the tile grid covers ceil dims like a predicated GPU kernel.
-void functional_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                     Matrix<half_t>& c, const TileConfig& tile,
-                     const FunctionalOptions& opts = {});
-
-/// Packed-operand fast path: B was converted and panel-packed once
-/// (gemm/packed_operand.hpp), so this call skips the per-call FP32
-/// conversion and reads B contiguously. Bit-identical to the unpacked
-/// overload — outputs, counters and fault semantics — because packing
-/// changes operand layout, never the K decomposition (CTest-pinned).
-void functional_gemm(const Matrix<half_t>& a, const PackedOperand& b,
-                     Matrix<half_t>& c, const TileConfig& tile,
-                     const FunctionalOptions& opts = {});
-
-/// Variant that keeps the FP32 accumulators (no FP16 output rounding);
-/// used by tests that verify accumulation semantics in isolation.
-void functional_gemm_f32out(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts = {});
-
-/// Packed-operand form of the FP32-accumulator variant.
-void functional_gemm_f32out(const Matrix<half_t>& a, const PackedOperand& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts = {});
-
-/// Options of the batched (multi-request) entry point.
-struct BatchedGemmOptions {
-  bool parallel = true;
-  /// faults[r] are injected into request r's row band, in request-local
-  /// coordinates (row within [0, rows_per_request)). Faults whose row falls
-  /// outside the request — which in a standalone GEMM would land in tile
-  /// padding and never reach a stored output — are dropped rather than
-  /// translated, so they stay inert instead of corrupting a sibling row.
-  std::vector<std::vector<FaultSpec>> faults;
   /// Extra independent work items co-scheduled with the GEMM threadblocks
   /// in the same parallel region: extra_task(t) runs once for each t in
   /// [0, extra_tasks) on the worker pool, interleaved with the blocks. The
@@ -92,29 +56,47 @@ struct BatchedGemmOptions {
   std::function<void(std::int64_t)> extra_task;
 };
 
-/// One GEMM for B stacked requests sharing the weight matrix: `a` holds the
-/// B requests' activation rows stacked vertically (B * rows_per_request x
-/// K) and `c` receives the stacked outputs (B * rows_per_request x N).
-///
-/// Bit-identical per request to running each request's GEMM alone: an
-/// output element's FP32 accumulation order depends only on the K
-/// decomposition (kb slabs of k8 MMA steps), never on M, the row's position
-/// in the grid, or which threadblock computes it. Stacking amortizes the
-/// threadblock padding that dominates small-M serving shapes (an M=1
-/// request still pays a full mb-row tile) and shares one padded FP32
-/// conversion of the weights across the whole batch.
-void functional_gemm_batched(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                             Matrix<half_t>& c, std::int64_t rows_per_request,
-                             const TileConfig& tile,
-                             const BatchedGemmOptions& opts = {});
+/// The B operand (K x N) of functional_gemm, in either layout: an FP16
+/// matrix, converted to a padded FP32 copy on every call, or a
+/// PackedOperand converted once ahead of time (gemm/packed_operand.hpp).
+/// A non-owning view that converts implicitly from both, so a caller
+/// passes whichever it holds. The two layouts are bit-identical —
+/// outputs, counters and fault semantics — because packing changes
+/// operand layout, never the K decomposition (CTest-pinned).
+struct GemmOperand {
+  GemmOperand(const Matrix<half_t>& b) : matrix(&b) {}
+  GemmOperand(const PackedOperand& b) : packed(&b) {}
 
-/// Packed-operand form of the batched entry point: the serving engine
-/// packs each layer's weights once at session construction and every
-/// wave, rewind and campaign trial serves from the same pack.
-void functional_gemm_batched(const Matrix<half_t>& a, const PackedOperand& b,
-                             Matrix<half_t>& c, std::int64_t rows_per_request,
-                             const TileConfig& tile,
-                             const BatchedGemmOptions& opts = {});
+  [[nodiscard]] std::int64_t rows() const {
+    return packed != nullptr ? packed->rows : matrix->rows();
+  }
+  [[nodiscard]] std::int64_t cols() const {
+    return packed != nullptr ? packed->cols : matrix->cols();
+  }
+
+  const Matrix<half_t>* matrix = nullptr;
+  const PackedOperand* packed = nullptr;
+};
+
+/// C (M x N) = A (M x K, FP16) * B (K x N, FP16), FP32 accumulation.
+/// Defined for Out = half_t, which stores FP16 (round-to-nearest-even),
+/// and Out = float, which keeps the raw FP32 accumulators for tests that
+/// verify accumulation in isolation. Out-of-range reads behave as zero
+/// padding; the tile grid covers ceil dims like a predicated GPU kernel.
+///
+/// Stacking: A may hold several requests' activation rows stacked
+/// vertically, all sharing B, and each request's band of C is
+/// bit-identical to running its GEMM alone. An output element's FP32
+/// accumulation order depends only on the K decomposition (kb slabs of k8
+/// MMA steps), never on M, the row's position in the grid, or which
+/// threadblock computes it. Stacking amortizes the threadblock padding
+/// that dominates small-M serving shapes (an M=1 request still pays a full
+/// mb-row tile). A stacked request's faults are the caller's to shift
+/// into its row band (ContinuousBatch does).
+template <typename Out>
+void functional_gemm(const Matrix<half_t>& a, GemmOperand b, Matrix<Out>& c,
+                     const TileConfig& tile,
+                     const FunctionalOptions& opts = {});
 
 /// Naive double-precision reference (no tiling, no FP16 store) for tests.
 Matrix<float> reference_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b);

@@ -49,29 +49,20 @@ MeasurementSample measure_wall_clock(const MicrobenchPoint& p,
   s.pack_us =
       std::chrono::duration<double, std::micro>(pack_t1 - pack_t0).count();
 
-  // Warm-up pass, doubling as the counter collection: the stacked
-  // single-GEMM executes the same MMAs as the batched entry point
-  // (stacking bit-identity), and counters are not plumbed through the
-  // batched API.
+  // Warm-up pass, doubling as the counter collection. batch_rows stacked
+  // requests are one GEMM over the stacked rows (stacking bit-identity).
   GemmCounters counters;
   {
     FunctionalOptions fopts;
     fopts.counters = &counters;
     functional_gemm(a, packed, c, p.tile, fopts);
   }
-  const auto timed_run = [&] {
-    if (p.batch_rows > 1) {
-      functional_gemm_batched(a, packed, c, p.shape.m, p.tile);
-    } else {
-      functional_gemm(a, packed, c, p.tile);
-    }
-  };
 
   double best_us = std::numeric_limits<double>::infinity();
   double worst_us = 0.0;
   for (int r = 0; r < std::max(1, opts.repeats); ++r) {
     const auto t0 = clock::now();  // aift-lint: allow(nondeterminism)
-    timed_run();
+    functional_gemm(a, packed, c, p.tile);
     const auto t1 = clock::now();  // aift-lint: allow(nondeterminism)
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -84,8 +75,8 @@ MeasurementSample measure_wall_clock(const MicrobenchPoint& p,
   s.noise_frac = (worst_us - best_us) / best_us;
   // FLOPs from the executor's own MMA counter (edge tiles execute full
   // predicated MMAs, exactly like the GPU kernel); bytes = operand reads
-  // plus the counted FP16 stores. The batched variant shares B across the
-  // stack, so its counter-equivalent problem is the stacked GEMM.
+  // plus the counted FP16 stores. Stacked requests share B, so it is read
+  // once for the whole stack.
   const double esize = dtype_bytes(DType::f16);
   s.flops = static_cast<double>(counters.mmas) * kFlopsPerMma;
   s.bytes = (static_cast<double>(rows) * p.shape.k +

@@ -42,8 +42,8 @@ struct MicrobenchPoint {
   TileConfig tile;
   Scheme scheme = Scheme::none;
   DType dtype = DType::f16;
-  /// > 1 measures the stacked batched executor (functional_gemm_batched)
-  /// with this many row-stacked requests of `shape`.
+  /// > 1 measures one functional_gemm over this many row-stacked requests
+  /// of `shape`, the stacked GEMM the batched executor runs.
   std::int64_t batch_rows = 1;
 };
 
@@ -87,8 +87,8 @@ struct WallClockOptions {
   std::uint64_t seed = 0x5EED5EEDULL;
 };
 
-/// The real thing: times functional_gemm (batch_rows == 1) or
-/// functional_gemm_batched (batch_rows > 1) with a steady clock.
+/// The real thing: times functional_gemm over the point's batch_rows
+/// stacked requests with a steady clock.
 /// The CPU executor emulates the *unprotected* kernel's arithmetic, so
 /// scheme-specific in-kernel redundancy is not part of the measured time;
 /// the scheme still keys the point so the fitter can attribute samples.

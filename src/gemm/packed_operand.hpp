@@ -2,10 +2,11 @@
 // Packed-operand fast path of the functional GEMM (the hot-path layer of
 // the plan -> compile -> execute -> serve split).
 //
-// Every functional_gemm call converts the FP16 B operand to a padded FP32
-// copy before the threadblocks can read it. For weights — immutable for
-// the lifetime of a session, shared by every request, retry and campaign
-// trial — that per-call conversion (allocate, zero-fill, convert) is pure
+// functional_gemm takes its B operand as a GemmOperand: an FP16 matrix,
+// which every call converts to a padded FP32 copy before the threadblocks
+// can read it, or a PackedOperand. For weights — immutable for the
+// lifetime of a session, shared by every request, retry and campaign trial
+// — that per-call conversion (allocate, zero-fill, convert) is pure
 // redundant work. A PackedOperand performs it once, into a k-major panel
 // layout: columns are grouped into MMA-width (kN = 8) panels, each panel
 // storing its 8 column values contiguously per k row. The microkernel
@@ -51,11 +52,6 @@ struct PackedOperand {
   std::uint64_t fingerprint = 0;
 
   [[nodiscard]] bool empty() const { return panels.empty(); }
-  /// First float of column `col`'s strip: its k-th value lives 8 * k
-  /// floats further on (the panel's row width).
-  [[nodiscard]] const float* strip_begin(std::int64_t col) const {
-    return panels.data() + (col / 8) * kpad * 8 + col % 8;
-  }
   /// The pack serves a GEMM against a `b_rows` x `b_cols` B under `tile`:
   /// same logical operand, padded to the same executed grid.
   [[nodiscard]] bool compatible(std::int64_t b_rows, std::int64_t b_cols,

@@ -50,21 +50,28 @@ Matrix<half_t> copy_rows(const Matrix<half_t>& src, std::int64_t src_row,
   return out;
 }
 
+// Appends the faults a request injects into execution `attempt` of
+// `layer`, translated into the C coordinates of a GEMM that holds the
+// request's m rows at row `band`. A fault row outside [0, m) lands in tile
+// padding when the request runs alone; stacked, it would corrupt a
+// sibling's band, so it is dropped and stays inert either way.
+void append_faults(std::vector<FaultSpec>& out,
+                   const std::vector<SessionFault>& faults, std::size_t layer,
+                   int attempt, std::int64_t m, std::int64_t band) {
+  for (const auto& f : faults) {
+    if (f.layer != layer || f.execution != attempt) continue;
+    if (f.spec.row < 0 || f.spec.row >= m) continue;
+    FaultSpec shifted = f.spec;
+    shifted.row += band;
+    out.push_back(shifted);
+  }
+}
+
 }  // namespace
 
 ContinuousBatch::ContinuousBatch(const InferenceSession& session,
                                  const BatchOptions& opts)
     : session_(&session), opts_(opts) {}
-
-std::vector<FaultSpec> ContinuousBatch::faults_for(const Row& row,
-                                                   std::size_t layer,
-                                                   int attempt) const {
-  std::vector<FaultSpec> specs;
-  for (const auto& f : row.faults) {
-    if (f.layer == layer && f.execution == attempt) specs.push_back(f.spec);
-  }
-  return specs;
-}
 
 // Detect-and-re-execute after a flagged attempt 0, on the row's
 // request-local matrices. Mirrors the serial retry loop exactly: the
@@ -88,7 +95,8 @@ void ContinuousBatch::recover_row(const Row& row, std::size_t layer_index,
     ++attempt;
     FunctionalOptions fopts;
     fopts.parallel = opts_.parallel;
-    fopts.faults = faults_for(row, layer_index, attempt);
+    append_faults(fopts.faults, row.faults, layer_index, attempt,
+                  layer.entry.layer.gemm.m, 0);
     session_->layer_gemm(layer_index, a_local, c_local, fopts);
     ++trace.executions;
     if (!session_->check_layer(layer, a_local, c_local)) break;
@@ -176,11 +184,11 @@ void ContinuousBatch::step() {
   for (const auto& [li, members] : groups) {
     const auto& layer = layers[li];
     const GemmShape& shape = layer.entry.layer.gemm;
-    BatchedGemmOptions gopts;
+    FunctionalOptions gopts;
     gopts.parallel = opts_.parallel;
-    gopts.faults.resize(members.size());
     for (std::size_t g = 0; g < members.size(); ++g) {
-      gopts.faults[g] = faults_for(rows_[members[g]], li, 0);
+      append_faults(gopts.faults, rows_[members[g]].faults, li, 0, shape.m,
+                    static_cast<std::int64_t>(g) * shape.m);
     }
     if (!checks_scheduled) {
       gopts.extra_tasks = static_cast<std::int64_t>(drain.size());
@@ -189,10 +197,10 @@ void ContinuousBatch::step() {
     }
     if (members.size() == 1) {
       // A group of one needs no band stacking: the row's matrices feed the
-      // batched kernel directly (keeps the facade path cheap).
+      // GEMM directly (keeps the facade path cheap).
       Row& row = rows_[members.front()];
       Matrix<half_t> c(shape.m, shape.n);
-      session_->layer_gemm_batched(li, row.a, c, shape.m, gopts);
+      session_->layer_gemm(li, row.a, c, gopts);
       outputs[members.front()] = std::move(c);
     } else {
       const auto b = static_cast<std::int64_t>(members.size());
@@ -202,7 +210,7 @@ void ContinuousBatch::step() {
                    g * shape.m);
       }
       Matrix<half_t> stacked_c(b * shape.m, shape.n);
-      session_->layer_gemm_batched(li, stacked_a, stacked_c, shape.m, gopts);
+      session_->layer_gemm(li, stacked_a, stacked_c, gopts);
       for (std::int64_t g = 0; g < b; ++g) {
         outputs[members[static_cast<std::size_t>(g)]] =
             copy_rows(stacked_c, g * shape.m, shape.m);
@@ -253,7 +261,8 @@ void ContinuousBatch::step() {
       Matrix<half_t> c(shape.m, shape.n);
       FunctionalOptions fopts;
       fopts.parallel = opts_.parallel;
-      fopts.faults = faults_for(row, row.cursor, 0);  // architectural attempt 0
+      append_faults(fopts.faults, row.faults, row.cursor, /*attempt=*/0,
+                    shape.m, 0);
       session_->layer_gemm(row.cursor, row.a, c, fopts);
       outputs[i] = std::move(c);
     }

@@ -3,13 +3,14 @@
 // execute -> serve split.
 //
 // A BatchExecutor marches B requests through one InferenceSession's plan
-// layer-by-layer: every layer runs as a single stacked GEMM for the whole
-// batch (functional_gemm_batched — the requests share weights and the
-// tile-padding waste of small-M serving shapes is amortized across the
-// batch), and each global-ABFT layer's output-checksum reduction is
-// deferred into a verification queue that drains *while the next layer's
-// GEMM runs* — the overlap the paper exploits to hide ABFT cost behind
-// unexploited compute in memory-bound GEMMs (§2.5 step 5).
+// layer-by-layer: every layer runs as a single functional_gemm over the
+// batch's stacked rows (the requests share weights and the tile-padding
+// waste of small-M serving shapes is amortized across the batch; each
+// request's faults shift into its row band), and each global-ABFT layer's
+// output-checksum reduction is deferred into a verification queue that
+// drains *while the next layer's GEMM runs* — the overlap the paper
+// exploits to hide ABFT cost behind unexploited compute in memory-bound
+// GEMMs (§2.5 step 5).
 //
 // A drained check that flags rewinds only the faulted request: its
 // speculative next-layer execution is flushed, the layer re-executes from
@@ -145,9 +146,6 @@ class ContinuousBatch {
     double drained_digest = 0;  // drain slot (disjoint per row)
   };
 
-  [[nodiscard]] std::vector<FaultSpec> faults_for(const Row& row,
-                                                  std::size_t layer,
-                                                  int attempt) const;
   void recover_row(const Row& row, std::size_t layer,
                    const Matrix<half_t>& a_local, Matrix<half_t>& c_local,
                    LayerTrace& trace) const;

@@ -105,26 +105,9 @@ void InferenceSession::layer_gemm(std::size_t layer, const Matrix<half_t>& a,
                                   Matrix<half_t>& c,
                                   const FunctionalOptions& opts) const {
   const Layer& l = layers_[layer];
-  if (l.packed) {
-    functional_gemm(a, *l.packed, c, l.entry.exec_tile(), opts);
-  } else {
-    functional_gemm(a, l.weights, c, l.entry.exec_tile(), opts);
-  }
-}
-
-void InferenceSession::layer_gemm_batched(std::size_t layer,
-                                          const Matrix<half_t>& a,
-                                          Matrix<half_t>& c,
-                                          std::int64_t rows_per_request,
-                                          const BatchedGemmOptions& opts) const {
-  const Layer& l = layers_[layer];
-  if (l.packed) {
-    functional_gemm_batched(a, *l.packed, c, rows_per_request,
-                            l.entry.exec_tile(), opts);
-  } else {
-    functional_gemm_batched(a, l.weights, c, rows_per_request,
-                            l.entry.exec_tile(), opts);
-  }
+  const GemmOperand b =
+      l.packed ? GemmOperand(*l.packed) : GemmOperand(l.weights);
+  functional_gemm(a, b, c, l.entry.exec_tile(), opts);
 }
 
 bool InferenceSession::check_layer(const Layer& layer, const Matrix<half_t>& a,

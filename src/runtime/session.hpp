@@ -9,7 +9,8 @@
 // facade over the batched serving engine: run() / run_from() delegate to a
 // single-request BatchExecutor (runtime/executor.hpp) with synchronous
 // verification, which pushes the input through every planned layer with
-// functional_gemm under the layer's profiled tile, runs the selected
+// functional_gemm under the layer's profiled tile (on the weights packed
+// at construction, unless pack_weights is off), runs the selected
 // scheme's actual check, and performs detect-and-re-execute recovery on
 // flagged layers (soft errors are transient, so retries run clean unless
 // the caller injects a fault into that execution attempt as well). The
@@ -156,14 +157,11 @@ class InferenceSession {
                                  const Matrix<half_t>& c) const;
 
   // The one place execution chooses between the packed fast path and the
-  // per-call conversion path — every layer GEMM (serial, batched, retry,
-  // speculative re-execution) funnels through these, so the two paths can
+  // per-call conversion path — every layer GEMM (stacked, retry,
+  // speculative re-execution) funnels through here, so the two paths can
   // never drift apart per call site.
   void layer_gemm(std::size_t layer, const Matrix<half_t>& a,
                   Matrix<half_t>& c, const FunctionalOptions& opts) const;
-  void layer_gemm_batched(std::size_t layer, const Matrix<half_t>& a,
-                          Matrix<half_t>& c, std::int64_t rows_per_request,
-                          const BatchedGemmOptions& opts) const;
 
   InferencePlan plan_;
   SessionOptions opts_;

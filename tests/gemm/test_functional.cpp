@@ -86,7 +86,7 @@ TEST_P(FunctionalParam, F16OutputIsRoundedF32Output) {
   Matrix<half_t> c16(shape.m, shape.n);
   Matrix<float> c32(shape.m, shape.n);
   functional_gemm(a, b, c16, tile);
-  functional_gemm_f32out(a, b, c32, tile);
+  functional_gemm(a, b, c32, tile);
   for (std::int64_t i = 0; i < shape.m; ++i) {
     for (std::int64_t j = 0; j < shape.n; ++j) {
       EXPECT_EQ(c16(i, j).bits(), half_t(c32(i, j)).bits());
@@ -247,13 +247,15 @@ TEST(FunctionalBatched, StackedRequestsMatchStandaloneGemms) {
     }
 
     Matrix<half_t> stacked_c(batch * m, n);
-    BatchedGemmOptions opts;
-    // A per-request fault: request 2, its local row min(1, m-1).
-    opts.faults.resize(static_cast<std::size_t>(batch));
+    // A per-request fault: request 2, its local row min(1, m-1), passed in
+    // C coordinates (shifted into request 2's row band).
     const FaultSpec fault{std::min<std::int64_t>(1, m - 1), 2, -1,
                           0x20000000u};
-    opts.faults[2] = {fault};
-    functional_gemm_batched(stacked_a, b, stacked_c, m, tile, opts);
+    FaultSpec stacked_fault = fault;
+    stacked_fault.row += 2 * m;
+    FunctionalOptions opts;
+    opts.faults = {stacked_fault};
+    functional_gemm(stacked_a, b, stacked_c, tile, opts);
 
     for (std::int64_t r = 0; r < batch; ++r) {
       Matrix<half_t> want(m, n);
@@ -271,21 +273,20 @@ TEST(FunctionalBatched, StackedRequestsMatchStandaloneGemms) {
 }
 
 TEST(FunctionalBatched, PaddingOnlyFaultsStayInert) {
-  // A fault row outside [0, m) would fall into tile padding standalone;
-  // stacked, translating it would corrupt a sibling request, so the
-  // batched path must drop it.
+  // A fault row past m lands in tile padding: the store never reads it.
+  // (ContinuousBatch drops such a fault before stacking, where the row
+  // would belong to a sibling request.)
   const TileConfig tile{32, 32, 32, 16, 16, 2};
-  const std::int64_t batch = 3, m = 4, k = 16, n = 16;
+  const std::int64_t m = 4, k = 16, n = 16;
   Rng rng(72);
-  Matrix<half_t> a(batch * m, k), b(k, n);
+  Matrix<half_t> a(m, k), b(k, n);
   rng.fill_uniform(a);
   rng.fill_uniform(b);
-  Matrix<half_t> clean(batch * m, n), faulty(batch * m, n);
-  functional_gemm_batched(a, b, clean, m, tile);
-  BatchedGemmOptions opts;
-  opts.faults.resize(static_cast<std::size_t>(batch));
-  opts.faults[0] = {FaultSpec{m, 0, -1, 0x7F000000u}};  // local row == m
-  functional_gemm_batched(a, b, faulty, m, tile, opts);
+  Matrix<half_t> clean(m, n), faulty(m, n);
+  functional_gemm(a, b, clean, tile);
+  FunctionalOptions opts;
+  opts.faults = {FaultSpec{m, 0, -1, 0x7F000000u}};  // first padding row
+  functional_gemm(a, b, faulty, tile, opts);
   EXPECT_TRUE(clean == faulty);
 }
 
@@ -298,23 +299,16 @@ TEST(FunctionalBatched, CoScheduledExtraTasksAllRun) {
   rng.fill_uniform(b);
   Matrix<half_t> c(batch * m, n), want(batch * m, n);
   std::vector<int> ran(8, 0);
-  BatchedGemmOptions opts;
+  FunctionalOptions opts;
   opts.extra_tasks = static_cast<std::int64_t>(ran.size());
   opts.extra_task = [&](std::int64_t t) {
     ran[static_cast<std::size_t>(t)] = 1;  // disjoint slots
   };
-  functional_gemm_batched(a, b, c, m, tile, opts);
+  functional_gemm(a, b, c, tile, opts);
   for (const int r : ran) EXPECT_EQ(r, 1);
   // The co-scheduled tasks never perturb the numerical result.
-  functional_gemm_batched(a, b, want, m, tile);
+  functional_gemm(a, b, want, tile);
   EXPECT_TRUE(c == want);
-}
-
-TEST(FunctionalBatched, RejectsRaggedStacking) {
-  const TileConfig tile{32, 32, 32, 16, 16, 2};
-  Matrix<half_t> a(10, 16), b(16, 16), c(10, 16);
-  EXPECT_THROW(functional_gemm_batched(a, b, c, 4, tile), std::logic_error);
-  EXPECT_THROW(functional_gemm_batched(a, b, c, 0, tile), std::logic_error);
 }
 
 }  // namespace

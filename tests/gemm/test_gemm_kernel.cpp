@@ -107,9 +107,9 @@ void expect_functional_chains(const Matrix<half_t>& a, const Matrix<half_t>& b,
     opts.counters = &counters;
     Matrix<float> got(m, n);
     if (use_pack) {
-      functional_gemm_f32out(a, packed, got, tile, opts);
+      functional_gemm(a, packed, got, tile, opts);
     } else {
-      functional_gemm_f32out(a, b, got, tile, opts);
+      functional_gemm(a, b, got, tile, opts);
     }
     ASSERT_EQ(bits_mismatch(want, got), "");
 

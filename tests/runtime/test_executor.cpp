@@ -363,5 +363,34 @@ TEST_F(BatchExecutorTest, RejectsEmptyAndMisshapenBatches) {
   EXPECT_THROW((void)executor.run(batch), std::logic_error);
 }
 
+// A request's fault on a row past its own m lands in tile padding when the
+// request runs alone. Stacked, that row belongs to the next request's
+// band, so the engine must drop the fault rather than shift it there.
+TEST_F(BatchExecutorTest, PaddingRowFaultStaysInItsRequest) {
+  for (const auto policy :
+       {ProtectionPolicy::none, ProtectionPolicy::global_abft,
+        ProtectionPolicy::intensity_guided}) {
+    const auto session = make_session(policy);
+    const BatchExecutor executor(session);
+    std::vector<BatchRequest> batch(3);
+    for (std::size_t r = 0; r < batch.size(); ++r) {
+      batch[r].input = session.make_input(200 + r);
+    }
+    const std::int64_t m = session.input_rows();
+    batch[0].faults = {
+        SessionFault{0, FaultSpec{m, 0, -1, 0x7F000000u}, 0}};
+    const auto result = executor.run(batch);
+    ASSERT_EQ(result.requests.size(), batch.size());
+    for (std::size_t r = 0; r < batch.size(); ++r) {
+      SessionRunOptions sopts;
+      sopts.faults = batch[r].faults;
+      expect_identical(result.requests[r], session.run(batch[r].input, sopts),
+                       std::string(policy_name(policy)) + "/row" +
+                           std::to_string(r));
+      EXPECT_TRUE(result.requests[r].clean()) << policy_name(policy);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aift

@@ -106,8 +106,8 @@ TEST(PackedGemmTest, F32OutBitIdentical) {
   rng.fill_uniform(b);
   const PackedOperand packed = pack_operand(b, tile);
   Matrix<float> c_raw(shape.m, shape.n), c_packed(shape.m, shape.n);
-  functional_gemm_f32out(a, b, c_raw, tile);
-  functional_gemm_f32out(a, packed, c_packed, tile);
+  functional_gemm(a, b, c_raw, tile);
+  functional_gemm(a, packed, c_packed, tile);
   for (std::int64_t i = 0; i < shape.m; ++i) {
     for (std::int64_t j = 0; j < shape.n; ++j) {
       EXPECT_EQ(c_raw(i, j), c_packed(i, j)) << "(" << i << "," << j << ")";
@@ -153,13 +153,14 @@ TEST(PackedGemmTest, BatchedBitIdenticalWithPerRequestFaults) {
   rng.fill_uniform(a);
   rng.fill_uniform(b);
   const PackedOperand packed = pack_operand(b, tile);
-  BatchedGemmOptions opts;
-  opts.faults.resize(static_cast<std::size_t>(batch));
-  opts.faults[2] = {FaultSpec{1, 2, -1, 0x20000000u}};
-  opts.faults[4] = {FaultSpec{m, 0, -1, 0x7F000000u}};  // padding-only: inert
+  // Request 2's local row 1 and the last request's first padding row, in
+  // C coordinates: stacked at row bands of m.
+  FunctionalOptions opts;
+  opts.faults = {FaultSpec{2 * m + 1, 2, -1, 0x20000000u},
+                 FaultSpec{batch * m, 0, -1, 0x7F000000u}};
   Matrix<half_t> c_raw(batch * m, n), c_packed(batch * m, n);
-  functional_gemm_batched(a, b, c_raw, m, tile, opts);
-  functional_gemm_batched(a, packed, c_packed, m, tile, opts);
+  functional_gemm(a, b, c_raw, tile, opts);
+  functional_gemm(a, packed, c_packed, tile, opts);
   EXPECT_TRUE(c_raw == c_packed);
 }
 

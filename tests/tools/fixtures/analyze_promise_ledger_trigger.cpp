@@ -36,6 +36,20 @@ void forward_all(std::vector<Pending> batch) {
   }
 }
 
+// The error path mentions the owner value only to read its size: the
+// un-moved tail still keeps its unresolved promises.
+void forward_counted(std::vector<Pending> batch) {
+  std::size_t sent = 0;
+  try {
+    for (; sent < batch.size(); ++sent) {
+      deliver(std::move(batch[sent]));
+    }
+  } catch (...) {
+    note_failure();
+  }
+  note_dropped(batch.size() - sent);
+}
+
 // Popping from an owner container with no adjacent move-out or
 // resolution: the dequeued request simply vanishes.
 class Queue {

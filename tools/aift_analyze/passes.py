@@ -33,7 +33,9 @@ justification in the surrounding comment.
   promise-ledger       Every dequeued request's promise resolves exactly
                        once.  Flags owner values dropped on early return,
                        owner values moved-from inside a try whose error
-                       path never revisits them, pops from owner
+                       path never revisits them (a move, range-for,
+                       resolve or call argument; a size()/empty() read
+                       is no revisit), pops from owner
                        containers with no adjacent resolution/move, and
                        straight-line double resolution.
 """
@@ -582,21 +584,23 @@ def _owner_vals(program, fn, owners):
                    reverse=True)
     if not names:
         return vals
-    params = mask_angles(fn.params_text)
+    # Split at top-level commas of the angle-masked text (mask_angles
+    # preserves length), but match owner names in the raw text, so a
+    # by-value container of owners (std::vector<Pending> batch) counts.
+    raw = fn.params_text
+    params = mask_angles(raw)
     depth = 0
-    seg = []
+    start = 0
     segs = []
-    for c in params:
+    for i, c in enumerate(params):
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
-        if c == "," and depth == 0:
-            segs.append("".join(seg))
-            seg = []
-        else:
-            seg.append(c)
-    segs.append("".join(seg))
+        elif c == "," and depth == 0:
+            segs.append(raw[start:i])
+            start = i + 1
+    segs.append(raw[start:])
     for s in segs:
         if "&" in s or "*" in s:
             continue
@@ -612,9 +616,31 @@ def _owner_vals(program, fn, owners):
     return vals
 
 
-def _refs_after(fn, name, pos):
-    return re.search(rf"(?<![\w.>]){re.escape(name)}\b",
-                     fn.body[pos:]) is not None
+def _root(target):
+    m = re.match(r"\s*([A-Za-z_]\w*)", target)
+    return m.group(1) if m else ""
+
+
+def _revisited_after(events, names, pos):
+    """An event after `pos` that can still settle the owner's elements: a
+    move, range-for or resolve on the owner (or an alias of it), or a call
+    taking it as an argument. A `.size()`/`.empty()` read of the owner
+    inside the arguments does not count — it touches no promise."""
+    alt = "|".join(re.escape(n) for n in sorted(names))
+    size_read = re.compile(
+        rf"(?<![\w.>])(?:{alt})(?:\s*(?:\.|->)\s*\w+(?:\[[^\]]*\])?)*"
+        r"\s*(?:\.|->)\s*(?:size|empty)\s*\(\s*\)")
+    mention = re.compile(rf"(?<![\w.>])(?:{alt})\b")
+    for e in events:
+        if e.pos <= pos:
+            continue
+        if e.kind in ("move", "range_for", "resolve") and \
+                _root(e.data["target"]) in names:
+            return True
+        if e.kind == "call" and mention.search(
+                size_read.sub("", e.data["args"])):
+            return True
+    return False
 
 
 def run_promise_ledger(program):
@@ -687,10 +713,10 @@ def run_promise_ledger(program):
                 t0, c0 = min(try_pos), max(catch_pos)
                 moved_in_try = any(
                     e.kind == "move" and t0 < e.pos < c0 and
-                    e.data["target"].split(".")[0].split("->")[0]
-                    in alias_names
+                    _root(e.data["target"]) in alias_names
                     for e in events)
-                if moved_in_try and not _refs_after(fn, name, c0):
+                if moved_in_try and \
+                        not _revisited_after(events, alias_names, c0):
                     line = fn.events[0].line if fn.events else fn.line
                     tline = next(e.line for e in events
                                  if e.kind == "try" and e.pos == t0)
